@@ -46,10 +46,10 @@ def _env_prec() -> int | None:
 
 
 def _resolve_prec(args, k: int | None = None) -> int:
-    if getattr(args, "prec", None):
+    if args.prec is not None:
         return args.prec
     env = _env_prec()
-    if env:
+    if env is not None:
         return env
     return _default_prec(k) if k is not None else 60
 
@@ -145,7 +145,7 @@ def cmd_hecke(args) -> int:
 
 def cmd_eigen(args) -> int:
     k = args.weight
-    prec = args.prec or max(3 * dim_Sk(k) + 5, 12)
+    prec = args.prec if args.prec is not None else max(3 * dim_Sk(k) + 5, 12)
     forms = eigenbasis(k, prec=prec)
     payload = {"weight": k, "dim": dim_Sk(k), "forms": [f.as_json() for f in forms]}
     if isinstance(forms[0].field, NumberField) and forms[0].field.degree == 2:
@@ -174,7 +174,7 @@ def _render_reports(payload: dict) -> str:
 
 
 def cmd_verify(args) -> int:
-    prec = args.prec or 100
+    prec = args.prec if args.prec is not None else 100
     which = args.target
     if which == "ramanujan":
         reports = [identities.verify_ramanujan(min(prec, 200), congruence_range=500)]
@@ -211,6 +211,8 @@ def cmd_maeda(args) -> int:
         except ValueError:
             raise CliError("range must look like k1..k2")
         ks = [k for k in range(lo, hi + 1) if k % 2 == 0 and dim_Sk(k) >= 1]
+        if not ks:
+            raise CliError(f"range {args.range} holds no weight with cusp forms")
     elif args.weight is not None:
         ks = [args.weight]
     else:
@@ -332,6 +334,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.prec is not None and args.prec <= 0:
+            raise CliError("--prec must be positive")
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,7 +11,7 @@ from .forms import delta, dim_Sk, eisenstein_level1
 from .hecke import Eigenform, eigenbasis, galois_conjugate
 from .linalg import invert_rational
 from .numfield import QQ, NumberField, NumberFieldElement
-from .polys import discriminant
+from .polys import _dense_divmod, _dense_gcd, _dense_mul, _dense_trim, discriminant
 from .qseries import QSeries
 
 # Reference constants the verification suite reproduces (exact rationals).
@@ -130,44 +130,50 @@ def _solve_product_identity(h: QSeries, f: QSeries, g: QSeries) -> tuple[Fractio
     return a, b
 
 
+def _verify_product_identity(
+    name: str, h: QSeries, f: QSeries, g: QSeries, reference: tuple[Fraction, Fraction]
+) -> IdentityReport:
+    a, b = _solve_product_identity(h, f, g)
+    report = verify_quadratic_identity(name, h, f, g, a, b)
+    report.detail = f"a = {a}, b = {b}"
+    if (a, b) != reference:
+        report.status = "failed"
+        report.detail += " (reference constants not reproduced)"
+    return report
+
+
+def _e24_series(prec: int) -> tuple[QSeries, QSeries, QSeries]:
+    """(h, f, g) = (E24, Delta, E12)."""
+    return (
+        eisenstein_level1(24, prec).series,
+        delta(prec).series,
+        eisenstein_level1(12, prec).series,
+    )
+
+
 def e24_constants(prec: int = 80) -> tuple[Fraction, Fraction]:
-    f = delta(prec).series
-    g = eisenstein_level1(12, prec).series
-    h = eisenstein_level1(24, prec).series
-    return _solve_product_identity(h, f, g)
+    return _solve_product_identity(*_e24_series(prec))
 
 
 def verify_e24(prec: int = 80) -> IdentityReport:
-    f = delta(prec).series
-    g = eisenstein_level1(12, prec).series
-    h = eisenstein_level1(24, prec).series
-    a, b = _solve_product_identity(h, f, g)
-    report = verify_quadratic_identity("e24", h, f, g, a, b)
-    report.detail = f"a = {a}, b = {b}"
-    if (a, b) != (E24_A, E24_B):
-        report.status = "failed"
-        report.detail += " (reference constants not reproduced)"
-    return report
+    return _verify_product_identity("e24", *_e24_series(prec), (E24_A, E24_B))
+
+
+def _e32_series(prec: int) -> tuple[QSeries, QSeries, QSeries]:
+    """(h, f, g) = (E32, E4 Delta, E16)."""
+    return (
+        eisenstein_level1(32, prec).series,
+        eisenstein_level1(4, prec).series * delta(prec).series,
+        eisenstein_level1(16, prec).series,
+    )
 
 
 def e32_constants(prec: int = 80) -> tuple[Fraction, Fraction]:
-    f = (eisenstein_level1(4, prec).series) * delta(prec).series
-    g = eisenstein_level1(16, prec).series
-    h = eisenstein_level1(32, prec).series
-    return _solve_product_identity(h, f, g)
+    return _solve_product_identity(*_e32_series(prec))
 
 
 def verify_e32(prec: int = 80) -> IdentityReport:
-    f = (eisenstein_level1(4, prec).series) * delta(prec).series
-    g = eisenstein_level1(16, prec).series
-    h = eisenstein_level1(32, prec).series
-    a, b = _solve_product_identity(h, f, g)
-    report = verify_quadratic_identity("e32", h, f, g, a, b)
-    report.detail = f"a = {a}, b = {b}"
-    if (a, b) != (E32_A, E32_B):
-        report.status = "failed"
-        report.detail += " (reference constants not reproduced)"
-    return report
+    return _verify_product_identity("e32", *_e32_series(prec), (E32_A, E32_B))
 
 
 # ---------------------------------------------------------------------------
@@ -183,53 +189,6 @@ def verify_e32(prec: int = 80) -> IdentityReport:
 # nonsingularity of the eigenvalue matrix itself. The i-th coefficient is
 # c_i = sigma_i(c); the number of vanishing ones equals deg gcd(c(x), T(x))
 # over F1.
-
-
-def _fp_trim(a: list) -> list:
-    n = len(a)
-    while n and a[n - 1] == 0:
-        n -= 1
-    return a[:n]
-
-
-def _fp_mul(a: list, b: list, field) -> list:
-    if not a or not b:
-        return []
-    out = [field.zero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return _fp_trim(out)
-
-
-def _fp_divmod(a: list, b: list, field) -> tuple[list, list]:
-    rem = list(a)
-    d = len(b) - 1
-    inv = field.one() / b[-1]
-    if len(rem) <= d:
-        return [], _fp_trim(rem)
-    quot = [field.zero()] * (len(rem) - d)
-    for i in range(len(rem) - 1, d - 1, -1):
-        c = rem[i]
-        if c == 0:
-            continue
-        f = c * inv
-        quot[i - d] = f
-        for j, y in enumerate(b):
-            rem[i - d + j] = rem[i - d + j] - f * y
-    return _fp_trim(quot), _fp_trim(rem)
-
-
-def _fp_gcd(a: list, b: list, field) -> list:
-    a, b = _fp_trim(list(a)), _fp_trim(list(b))
-    while b:
-        a, b = b, _fp_divmod(a, b, field)[1]
-    if a:
-        inv = field.one() / a[-1]
-        a = [inv * c for c in a]
-    return a
 
 
 @dataclass
@@ -330,23 +289,17 @@ def decompose_in_eigenbasis(
 
     traces = K.power_traces()
     t_base = [base.coerce(c) for c in K.modulus.coeffs]
-    c_poly = _fp_trim(list(coords))
+    c_poly = _dense_trim(coords)
     for n in range(prec):
-        an = g.a(n)
-        an_base = _fp_trim([base.coerce(x) for x in an.coords])
-        prod, rem = (
-            _fp_divmod(_fp_mul(c_poly, an_base, base), t_base, base)
-            if c_poly and an_base
-            else ([], [])
-        )
+        an_base = _dense_trim([base.coerce(x) for x in g.a(n).coords])
+        rem = _dense_divmod(_dense_mul(c_poly, an_base, base.zero()), t_base)[1]
         tr = base.zero()
         for i, w in enumerate(rem):
             if w != 0:
                 tr = tr + w * traces[i]
         if tr != series.coeff(n):
             raise ArithmeticError(f"decomposition fails at coefficient {n}")
-    gg = _fp_gcd(c_poly, t_base, base) if c_poly else t_base
-    vanishing = len(gg) - 1 if gg else d2
+    vanishing = len(_dense_gcd(c_poly, t_base)) - 1
     return EigenDecomposition(
         source,
         weight,

@@ -42,32 +42,6 @@ def charpoly_rational(a) -> RatPoly:
     return RatPoly(coeffs)
 
 
-def det_rational(a) -> Fraction:
-    n = len(a)
-    m = [row[:] for row in a]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f == 0:
-                continue
-            for c in range(col, n):
-                m[r][c] -= f * m[col][c]
-    return det
-
-
 def invert_rational(a):
     """Inverse of a square rational matrix; raises ValueError when singular."""
     n = len(a)

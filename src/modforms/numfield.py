@@ -10,9 +10,11 @@ from typing import Iterable, Sequence
 from .polys import (
     IrreducibilityCertificate,
     RatPoly,
+    _binary_power,
+    _dense_mul,
+    _dense_trim,
     _pdivmod,
     _pgcd,
-    _ptrim,
     cyclotomic_polynomial,
     poly_irreducible,
     poly_xgcd,
@@ -80,7 +82,6 @@ class NumberField:
                 self._xpow.append(tuple(cur))
         self._traces: tuple[Fraction, ...] | None = None
         self._zeta_pows: dict[int, "NumberFieldElement"] = {}
-        self._real_roots: tuple[float, ...] | None = None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, NumberField) and self.modulus == other.modulus
@@ -166,26 +167,6 @@ class NumberField:
             self._zeta_pows[j] = self.from_poly([0] * j + [1])
         return self._zeta_pows[j]
 
-    def real_roots(self) -> tuple[float, ...]:
-        """Real roots of the modulus (floats, ascending); cached."""
-        if self._real_roots is None:
-            from .roots import real_roots
-
-            self._real_roots = tuple(real_roots(self.modulus))
-        return self._real_roots
-
-    def embed_float(self, el: "NumberFieldElement", root: float | None = None) -> float:
-        """Evaluate an element at a real root of the modulus (default: largest)."""
-        if root is None:
-            roots = self.real_roots()
-            if not roots:
-                raise ValueError("modulus has no real root")
-            root = roots[-1]
-        acc = 0.0
-        for c in reversed(el.coords):
-            acc = acc * root + c.numerator / c.denominator
-        return acc
-
 
 class NumberFieldElement:
     """Element of Q[x]/(m) as a rational coordinate vector of length deg(m)."""
@@ -250,14 +231,7 @@ class NumberFieldElement:
         if not isinstance(other, NumberFieldElement):
             return NotImplemented
         self._check(other)
-        a, b = self.coords, other.coords
-        prod = [Fraction(0)] * (2 * len(a) - 1)
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                prod[i + j] += x * y
-        return self.parent.from_poly(prod)
+        return self.parent.from_poly(_dense_mul(self.coords, other.coords, Fraction(0)))
 
     __rmul__ = __mul__
 
@@ -285,14 +259,7 @@ class NumberFieldElement:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.parent.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _binary_power(self, e, self.parent.one())
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -343,15 +310,6 @@ def embed_cyclotomic(x: NumberFieldElement, target: NumberField) -> NumberFieldE
 # ---------------------------------------------------------------------------
 
 
-def _int_poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1 or 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
 def dedekind_index_test(p: RatPoly, q: int) -> bool:
     """True when the prime q divides the index [O_K : Z[alpha]] for K = Q[x]/(p).
 
@@ -361,15 +319,15 @@ def dedekind_index_test(p: RatPoly, q: int) -> bool:
     if not p.is_monic() or not p.is_integral():
         raise ValueError("monic integral polynomial required")
     f = [int(c) for c in p.coeffs]
-    fbar = _ptrim([c % q for c in f])
+    fbar = _dense_trim([c % q for c in f])
     g1 = radical_mod_p(fbar, q)
     h1, rem = _pdivmod(fbar, g1, q)
     assert not rem
-    gh = _int_poly_mul(g1, h1)
+    gh = _dense_mul(g1, h1, 0)
     gh += [0] * (len(f) - len(gh))
     diff = [a - b for a, b in zip(gh, f)]
     if any(c % q for c in diff):
         raise AssertionError("radical splitting failed to lift")
-    fcap = _ptrim([(c // q) % q for c in diff])
+    fcap = _dense_trim([(c // q) % q for c in diff])
     d = _pgcd(_pgcd(fcap, g1, q), h1, q)
     return len(d) > 1

@@ -4,6 +4,7 @@ and one-sided irreducibility certificates."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -11,12 +12,94 @@ from typing import Iterable, Sequence
 
 from .arith import divisors, factorize, iter_primes
 
+# ---------------------------------------------------------------------------
+# Dense kernels: ascending coefficient lists over any coefficient ring, using
+# only the coefficients' own +, -, * and /. Every series, polynomial and
+# number-field product, division, gcd and power in the package runs here;
+# only the F_p helpers below keep their own loops, which reduce mod q at
+# every step.
+# ---------------------------------------------------------------------------
 
-def _trim(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-    n = len(coeffs)
-    while n and coeffs[n - 1] == 0:
+
+def _dense_trim(a):
+    """a without its trailing zero coefficients (same sequence type)."""
+    n = len(a)
+    while n and a[n - 1] == 0:
         n -= 1
-    return tuple(coeffs[:n])
+    return a[:n]
+
+
+def _dense_mul(a, b, zero, n=None):
+    """Product of dense coefficient lists, truncated to n terms when n is given.
+
+    Zero coefficients of a are skipped (a is checked once per entry, b never),
+    so the sparser operand belongs first. The result is not trimmed; it is
+    empty when either operand is.
+    """
+    if not a or not b:
+        return []
+    m = len(a) + len(b) - 1
+    if n is not None:
+        m = min(m, n)
+    out = [zero] * m
+    for i, x in enumerate(a[:m]):
+        if x == 0:
+            continue
+        k = min(len(b), m - i)
+        out[i : i + k] = [o + x * y for o, y in zip(out[i : i + k], b)]
+    return out
+
+
+def _dense_divmod(a, b):
+    """Quotient and remainder of dense polynomials over a field, both trimmed;
+    b must be trimmed."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    d = len(b) - 1
+    rem = list(a)
+    if len(rem) <= d:
+        return [], _dense_trim(rem)
+    inv = 1 / b[-1]
+    quot = []  # filled from the top coefficient down
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = rem[i]
+        if c == 0:
+            quot.append(c)
+            continue
+        q = c * inv
+        quot.append(q)
+        rem[i - d : i + 1] = [r - q * y for r, y in zip(rem[i - d : i + 1], b)]
+    quot.reverse()
+    return _dense_trim(quot), _dense_trim(rem[:d])
+
+
+def _dense_gcd(a, b):
+    """Monic gcd of dense polynomials over a field ([] when both are zero)."""
+    a, b = _dense_trim(list(a)), _dense_trim(list(b))
+    while b:
+        a, b = b, _dense_divmod(a, b)[1]
+    if a:
+        inv = 1 / a[-1]
+        a = [c * inv for c in a]
+    return a
+
+
+def _binary_power(base, e: int, one, mul=operator.mul):
+    """base**e for e >= 0 by square-and-multiply; one is returned for e = 0.
+
+    The base is squared only while higher bits remain, and the first factor
+    is taken as is rather than multiplied into one.
+    """
+    if e < 0:
+        raise ValueError("negative power")
+    result = None
+    while True:
+        if e & 1:
+            result = base if result is None else mul(result, base)
+        e >>= 1
+        if not e:
+            return one if result is None else result
+        base = mul(base, base)
 
 
 class RatPoly:
@@ -28,7 +111,7 @@ class RatPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Fraction | int]):
-        self.coeffs = _trim([Fraction(c) for c in coeffs])
+        self.coeffs = _dense_trim(tuple(Fraction(c) for c in coeffs))
 
     @property
     def degree(self) -> int:
@@ -76,33 +159,12 @@ class RatPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return RatPoly([c * other for c in self.coeffs])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return RatPoly(out)
+        return RatPoly(_dense_mul(self.coeffs, other.coeffs, Fraction(0)))
 
     __rmul__ = __mul__
 
     def __divmod__(self, other: "RatPoly") -> tuple["RatPoly", "RatPoly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = other.degree
-        lead = other.lead
-        if len(rem) <= d:
-            return RatPoly([]), RatPoly(rem)
-        quot = [Fraction(0)] * (len(rem) - d)
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            q = c / lead
-            quot[i - d] = q
-            for j, b in enumerate(other.coeffs):
-                rem[i - d + j] -= q * b
+        quot, rem = _dense_divmod(self.coeffs, other.coeffs)
         return RatPoly(quot), RatPoly(rem)
 
     def __floordiv__(self, other: "RatPoly") -> "RatPoly":
@@ -112,16 +174,7 @@ class RatPoly:
         return divmod(self, other)[1]
 
     def __pow__(self, e: int) -> "RatPoly":
-        if e < 0:
-            raise ValueError("negative polynomial power")
-        result = RatPoly([1])
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _binary_power(self, e, RatPoly([1]))
 
     def monic(self) -> "RatPoly":
         if self.is_zero():
@@ -164,9 +217,7 @@ class RatPoly:
 
 def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
     """Monic gcd in Q[x]."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
+    return RatPoly(_dense_gcd(a.coeffs, b.coeffs))
 
 
 def poly_xgcd(a: RatPoly, b: RatPoly) -> tuple[RatPoly, RatPoly, RatPoly]:
@@ -254,13 +305,6 @@ def discriminant(p: RatPoly) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _ptrim(a: list[int]) -> list[int]:
-    n = len(a)
-    while n and a[n - 1] == 0:
-        n -= 1
-    return a[:n]
-
-
 def poly_mod_p(p: RatPoly, q: int) -> list[int]:
     """Reduce a rational polynomial mod q; denominators must be units mod q."""
     out = []
@@ -269,7 +313,7 @@ def poly_mod_p(p: RatPoly, q: int) -> list[int]:
         if den == 0:
             raise ValueError(f"denominator not invertible mod {q}")
         out.append(c.numerator * pow(den, -1, q) % q)
-    return _ptrim(out)
+    return _dense_trim(out)
 
 
 def _pmul(a: list[int], b: list[int], q: int) -> list[int]:
@@ -281,7 +325,7 @@ def _pmul(a: list[int], b: list[int], q: int) -> list[int]:
             continue
         for j, y in enumerate(b):
             out[i + j] = (out[i + j] + x * y) % q
-    return _ptrim(out)
+    return _dense_trim(out)
 
 
 def _pdivmod(a: list[int], b: list[int], q: int) -> tuple[list[int], list[int]]:
@@ -291,7 +335,7 @@ def _pdivmod(a: list[int], b: list[int], q: int) -> tuple[list[int], list[int]]:
     d = len(b) - 1
     inv = pow(b[-1], -1, q)
     if len(rem) <= d:
-        return [], _ptrim(rem)
+        return [], _dense_trim(rem)
     quot = [0] * (len(rem) - d)
     for i in range(len(rem) - 1, d - 1, -1):
         c = rem[i]
@@ -301,7 +345,7 @@ def _pdivmod(a: list[int], b: list[int], q: int) -> tuple[list[int], list[int]]:
         quot[i - d] = f
         for j, y in enumerate(b):
             rem[i - d + j] = (rem[i - d + j] - f * y) % q
-    return _ptrim(quot), _ptrim(rem)
+    return _dense_trim(quot), _dense_trim(rem)
 
 
 def _pgcd(a: list[int], b: list[int], q: int) -> list[int]:
@@ -314,7 +358,7 @@ def _pgcd(a: list[int], b: list[int], q: int) -> list[int]:
 
 
 def _pderiv(a: list[int], q: int) -> list[int]:
-    return _ptrim([i * c % q for i, c in enumerate(a)][1:])
+    return _dense_trim([i * c % q for i, c in enumerate(a)][1:])
 
 
 def _ppowmod(base: list[int], e: int, mod: list[int], q: int) -> list[int]:
@@ -330,13 +374,13 @@ def _ppowmod(base: list[int], e: int, mod: list[int], q: int) -> list[int]:
 
 def _pth_root(a: list[int], q: int) -> list[int]:
     # valid when a' == 0 in F_q[x]: a(x) = b(x)^q with b read off every q-th slot
-    return _ptrim(a[::q])
+    return _dense_trim(a[::q])
 
 
 def radical_mod_p(f: list[int], q: int) -> list[int]:
     """Product of the distinct irreducible factors of f in F_q[x], monic."""
     f = [c % q for c in f]
-    f = _ptrim(f)
+    f = _dense_trim(f)
     if not f:
         raise ValueError("radical of the zero polynomial")
     inv = pow(f[-1], -1, q)

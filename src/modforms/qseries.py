@@ -9,6 +9,7 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 from .numfield import NumberField
+from .polys import _binary_power, _dense_mul
 
 
 class QSeries:
@@ -70,16 +71,9 @@ class QSeries:
             return self.scale(other)
         self._check(other)
         prec = min(self.prec, other.prec)
-        zero = self.field.zero()
-        out = [zero] * prec
-        for i, a in enumerate(self.coeffs[:prec]):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs[: prec - i]):
-                if b == 0:
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return QSeries(self.field, out, prec)
+        return QSeries(
+            self.field, _dense_mul(self.coeffs, other.coeffs, self.field.zero(), prec), prec
+        )
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -91,14 +85,7 @@ class QSeries:
     def __pow__(self, e: int) -> "QSeries":
         if e < 0:
             raise ValueError("negative series power; use inverse() first")
-        result = QSeries.constant(self.field, self.field.one(), self.prec)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _binary_power(self, e, QSeries.constant(self.field, self.field.one(), self.prec))
 
     def inverse(self) -> "QSeries":
         a0 = self.coeffs[0]

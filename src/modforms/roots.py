@@ -10,8 +10,6 @@ import cmath
 import random
 from fractions import Fraction
 
-from .polys import RatPoly
-
 
 def _to_complex(c) -> complex:
     if isinstance(c, Fraction):
@@ -74,9 +72,3 @@ def aberth_roots(
             break
     return sorted(zs, key=lambda z: (round(z.real, 10), round(z.imag, 10)))
 
-
-def real_roots(poly: RatPoly, imag_tol: float = 1e-8) -> list[float]:
-    """Real roots of a rational polynomial, ascending (float precision)."""
-    roots = aberth_roots(poly.coeffs)
-    scale = max(1.0, max(abs(z) for z in roots))
-    return sorted(z.real for z in roots if abs(z.imag) <= imag_tol * scale)

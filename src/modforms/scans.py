@@ -7,8 +7,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-import numpy as np
+import mpmath
 
 from .arith import factorize, iter_primes, quad_field_discriminant, squarefree_kernel
 from .dirichlet import (
@@ -33,29 +34,14 @@ from .polys import (
     poly_irreducible,
 )
 
-_zeta_cache: dict[int, float] = {}
 
-
-def zeta_direct(s: int, tol: float = 1e-15) -> float:
-    """zeta(s) for integer s >= 3 by direct summation; the integral tail
-    estimate M^(1-s)/(s-1) is pushed below tol."""
+@lru_cache(maxsize=None)
+def zeta_direct(s: int) -> float:
+    """zeta(s) for integer s >= 3 as a double, from mpmath at 30 digits."""
     if s < 3:
         raise ValueError("s >= 3 required (the bound checks never need less)")
-    if s in _zeta_cache:
-        return _zeta_cache[s]
-    if s > 60:
-        val = 1.0 + 2.0**-s  # below double-precision resolution beyond this
-    else:
-        m = int((tol * (s - 1)) ** (-1.0 / (s - 1))) + 1
-        total = 0.0
-        chunk = 1 << 20
-        for start in range(1, m + 1, chunk):
-            stop = min(start + chunk, m + 1)
-            block = np.arange(start, stop, dtype=np.float64)
-            total += float(np.sum(block ** float(-s)))
-        val = total
-    _zeta_cache[s] = val
-    return val
+    with mpmath.workdps(30):
+        return float(mpmath.zeta(s))
 
 
 def bernoulli_lower_bound(k: int, conductor: int) -> float:
@@ -357,9 +343,8 @@ class MaedaReport:
 
 
 def _collect_patterns(
-    poly: RatPoly, count: int
+    poly: RatPoly, count: int, disc_num: int
 ) -> dict[int, tuple[int, ...]]:
-    disc_num = discriminant(poly).numerator
     lead_num = poly.lead.numerator
     patterns: dict[int, tuple[int, ...]] = {}
     if disc_num == 0:
@@ -396,7 +381,8 @@ def maeda_check(
         index = n
         if cert.is_irreducible or cert.is_reducible:
             break
-    patterns = _collect_patterns(cp, pattern_primes)
+    disc = discriminant(cp)
+    patterns = _collect_patterns(cp, pattern_primes, disc.numerator)
     full_cycle = any(pat == (d,) for pat in patterns.values())
     transposition = any(
         sorted(pat) == [1] * (d - 2) + [2] for pat in patterns.values()
@@ -407,7 +393,6 @@ def maeda_check(
         sum(1 for x in pat if x > 1) == 1 and max(pat) % 2 == 1 and max(pat) > 1
         for pat in patterns.values()
     )
-    disc = discriminant(cp)
     # bounded caps: large higher-degree discriminants come back flagged partial
     split = squarefree_kernel(disc.numerator, trial_bound=10**5, rho_iterations=20_000)
     quad_disc = None

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from modforms.cli import main
 
@@ -148,3 +152,30 @@ def test_env_prec_override(capsys, monkeypatch):
     monkeypatch.setenv("MODFORMS_PREC", "bad")
     code, _, err = run_cli(capsys, "qexp", "E4", "--output", "json")
     assert code == 2
+
+
+def test_nonpositive_prec_is_a_usage_error(capsys):
+    for prec in ("0", "-3"):
+        for argv in (("qexp", "E4"), ("eigen", "24"), ("verify", "e24"), ("decompose", "12")):
+            code, out, err = run_cli(capsys, *argv, "--prec", prec, "--output", "json")
+            assert code == 2, argv
+            assert out == ""
+            assert err.startswith("error:")
+
+
+def test_empty_maeda_range_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "maeda", "--range", "40..12", "--output", "json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_cli_import_does_not_load_numpy():
+    probe = "import sys, modforms.cli; print('numpy' in sys.modules)"
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"

@@ -111,13 +111,6 @@ def test_cyclotomic_fields_and_embedding():
     assert C2.zeta_pow(1) == -1
 
 
-def test_embed_float_ordering():
-    K = NumberField(RatPoly([-20468736, -1080, 1]))
-    x = K.gen()
-    larger = K.embed_float(x)
-    assert abs(larger - (540 + 12 * 144169**0.5)) < 1e-6
-
-
 def test_dedekind_examples():
     # field disc of Q(sqrt(5)) is 5 while the poly disc is 20: index 2
     assert dedekind_index_test(RatPoly([-5, 0, 1]), 2) is True
