@@ -76,11 +76,15 @@ def delta(prec: int) -> ModularForm:
     """The discriminant cusp form q prod (1 - q^n)^24, by exact expansion."""
     if prec < 1:
         raise ValueError("prec must be positive")
-    eta = [0] * max(prec, 1)
-    eta[0] = 1
-    for n in range(1, prec):
-        for i in range(prec - 1, n - 1, -1):
-            eta[i] -= eta[i - n]
+    # Euler's pentagonal theorem: prod (1 - q^n) = sum over m in Z of
+    # (-1)^m q^(m(3m-1)/2), so eta has O(sqrt(prec)) nonzero coefficients
+    eta = [0] * prec
+    m = 0
+    while m * (3 * m - 1) // 2 < prec:
+        for e in (m * (3 * m - 1) // 2, m * (3 * m + 1) // 2):
+            if e < prec:
+                eta[e] = (-1) ** m
+        m += 1
     # plain ints here: Fraction coefficients make this product ~10x slower
     power = _binary_power(eta, 24, [1], lambda a, b: _dense_mul(a, b, 0, prec))
     coeffs = [0] + power[: prec - 1]

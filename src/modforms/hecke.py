@@ -9,10 +9,10 @@ from fractions import Fraction
 
 from .arith import divisors
 from .dirichlet import DirichletCharacter
-from .forms import dim_Sk, miller_basis
+from .forms import SpaceBasis, dim_Sk, miller_basis
 from .linalg import charpoly_rational, invert_rational, kernel_vector, mat_mul
 from .numfield import QQ, NumberField
-from .polys import RatPoly, poly_irreducible
+from .polys import IrreducibilityCertificate, RatPoly, poly_irreducible
 from .qseries import QSeries
 
 
@@ -95,17 +95,20 @@ class HeckeMatrix:
         }
 
 
-def hecke_matrix(n: int, k: int, prec: int | None = None) -> HeckeMatrix:
+def hecke_matrix(n: int, k: int, basis: SpaceBasis | None = None) -> HeckeMatrix:
     """Matrix of T_n on the echelon cusp basis of weight k.
 
     The echelon structure makes coordinates equal to the coefficients at
     q^1..q^dim, so columns are read off directly from the transformed basis.
+    A given weight-k cusp basis is used when it carries the n*(dim+1)+2
+    coefficients T_n needs; otherwise one is built.
     """
     d = dim_Sk(k)
     if d < 1:
         raise ValueError(f"weight {k} has no cusp forms")
     need = n * (d + 1) + 2
-    basis = miller_basis(k, max(prec or 0, need), cusp_only=True)
+    if basis is None or basis.prec < need:
+        basis = miller_basis(k, need, cusp_only=True)
     cols = []
     for form in basis.forms:
         image = hecke_action(form.series, n, k, prec=d + 1)
@@ -117,6 +120,26 @@ def hecke_matrix(n: int, k: int, prec: int | None = None) -> HeckeMatrix:
 def charpoly(matrix: HeckeMatrix) -> RatPoly:
     """Exact characteristic polynomial det(xI - T_n)."""
     return charpoly_rational([list(row) for row in matrix.entries])
+
+
+def certified_charpoly(
+    k: int,
+    indices: tuple[int, ...] = (2, 3, 5),
+    basis: SpaceBasis | None = None,
+    prime_count: int = 20,
+) -> tuple[int, HeckeMatrix, RatPoly, IrreducibilityCertificate]:
+    """(n, T_n, charpoly, certificate) for the first n in indices whose charpoly
+    certificate is decisive (irreducible or reducible); the last n tried when
+    none is."""
+    if not indices:
+        raise ValueError("no Hecke index to try")
+    for n in indices:
+        matrix = hecke_matrix(n, k, basis)
+        cp = charpoly(matrix)
+        cert = poly_irreducible(cp, prime_count)
+        if cert.status != "unknown":
+            break
+    return n, matrix, cp, cert
 
 
 @dataclass(frozen=True)
@@ -167,22 +190,15 @@ def eigenbasis(
     if d == 1:
         series = basis.forms[0].series.truncate(prec) if basis.prec > prec else basis.forms[0].series
         return [Eigenform(k, QQ, series, f"S{k}.a")]
-    last_cert = None
-    for n in hecke_indices:
-        matrix = hecke_matrix(n, k)
-        cp = charpoly(matrix)
-        cert = poly_irreducible(cp)
-        if cert.is_irreducible:
-            break
-        if cert.is_reducible:
-            raise UnsupportedHeckeField(
-                f"T_{n} charpoly reducible in weight {k}: root {cert.witness_root}"
-            )
-        last_cert = cert
-    else:
+    n, matrix, cp, cert = certified_charpoly(k, hecke_indices, basis)
+    if cert.is_reducible:
+        raise UnsupportedHeckeField(
+            f"T_{n} charpoly reducible in weight {k}: root {cert.witness_root}"
+        )
+    if not cert.is_irreducible:
         raise UnsupportedHeckeField(
             f"no irreducibility certificate for weight {k} (tried {hecke_indices}); "
-            f"last status: {last_cert.status if last_cert else 'none'}"
+            f"last status: {cert.status}"
         )
     field = NumberField(cp, certificate=cert)
     lam = field.gen()

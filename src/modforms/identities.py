@@ -11,7 +11,7 @@ from .forms import delta, dim_Sk, eisenstein_level1
 from .hecke import Eigenform, eigenbasis, galois_conjugate
 from .linalg import invert_rational
 from .numfield import QQ, NumberField, NumberFieldElement
-from .polys import _dense_divmod, _dense_gcd, _dense_mul, _dense_trim, discriminant
+from .polys import _dense_divmod, _dense_gcd, _dense_mul, _dense_trim
 from .qseries import QSeries
 
 # Reference constants the verification suite reproduces (exact rationals).
@@ -201,7 +201,7 @@ class EigenDecomposition:
     dim: int
     vanishing_count: int
     verified_prec: int
-    trace_matrix: tuple[tuple[Fraction, ...], ...]
+    eigenform: Eigenform  # the eigenform of the weight decomposed against
 
     @property
     def all_nonzero(self) -> bool:
@@ -261,7 +261,7 @@ def decompose_in_eigenbasis(
             if not c * g.a(n) == series.coeff(n):
                 raise ArithmeticError(f"decomposition fails at coefficient {n}")
         return EigenDecomposition(
-            source, weight, base, QQ, (c,), 1, 1 if c == 0 else 0, prec, ((Fraction(1),),)
+            source, weight, base, QQ, (c,), 1, 1 if c == 0 else 0, prec, g
         )
 
     K = g.field
@@ -300,17 +300,7 @@ def decompose_in_eigenbasis(
         if tr != series.coeff(n):
             raise ArithmeticError(f"decomposition fails at coefficient {n}")
     vanishing = len(_dense_gcd(c_poly, t_base)) - 1
-    return EigenDecomposition(
-        source,
-        weight,
-        base,
-        K,
-        tuple(coords),
-        d2,
-        vanishing,
-        prec,
-        tuple(tuple(row) for row in matrix),
-    )
+    return EigenDecomposition(source, weight, base, K, tuple(coords), d2, vanishing, prec, g)
 
 
 def decompose_square(f: Eigenform, prec: int | None = None) -> EigenDecomposition:
@@ -385,7 +375,7 @@ def _sqrt_of_disc_part(K: NumberField) -> tuple[NumberFieldElement, int]:
     squarefree part of the discriminant; positive at the larger real root."""
     assert K.degree == 2
     s = -K.modulus.coeffs[1]
-    disc = discriminant(K.modulus)
+    disc = K.certificate.discriminant
     assert disc.denominator == 1
     split = squarefree_kernel(disc.numerator)
     if not split.complete:
@@ -414,7 +404,7 @@ def verify_table1(prec: int = 30) -> IdentityReport:
         root, d = _sqrt_of_disc_part(K)
         if d != TABLE1_DISCS[2 * k]:
             return False, f"discriminant part {d} != {TABLE1_DISCS[2 * k]}"
-        g = eigenbasis(2 * k, prec=prec)[0]
+        g = dec.eigenform
         recon = reference_series(K, root)
         for n in range(min(prec, recon.prec, g.prec)):
             if recon.coeff(n) != g.a(n):

@@ -7,7 +7,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Sequence
 
 from .arith import divisors, factorize, iter_primes
@@ -16,8 +16,8 @@ from .arith import divisors, factorize, iter_primes
 # Dense kernels: ascending coefficient lists over any coefficient ring, using
 # only the coefficients' own +, -, * and /. Every series, polynomial and
 # number-field product, division, gcd and power in the package runs here;
-# only the F_p helpers below keep their own loops, which reduce mod q at
-# every step.
+# only the F_p product, division and gcd below keep their own loops, which
+# reduce mod q at every step.
 # ---------------------------------------------------------------------------
 
 
@@ -362,14 +362,9 @@ def _pderiv(a: list[int], q: int) -> list[int]:
 
 
 def _ppowmod(base: list[int], e: int, mod: list[int], q: int) -> list[int]:
-    result = [1]
-    base = _pdivmod(base, mod, q)[1]
-    while e:
-        if e & 1:
-            result = _pdivmod(_pmul(result, base, q), mod, q)[1]
-        base = _pdivmod(_pmul(base, base, q), mod, q)[1]
-        e >>= 1
-    return result
+    return _binary_power(
+        _pdivmod(base, mod, q)[1], e, [1], lambda a, b: _pdivmod(_pmul(a, b, q), mod, q)[1]
+    )
 
 
 def _pth_root(a: list[int], q: int) -> list[int]:
@@ -446,7 +441,16 @@ def _zip_pad(a: list[int], b: list[int]) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class IrreducibilityCertificate:
+    """Outcome of poly_irreducible with the data it was decided on.
+
+    discriminant is disc(p); patterns maps each of the first prime_count
+    primes not dividing a coefficient denominator, the leading numerator or
+    the discriminant to the factor degrees of p mod that prime (empty for
+    degree 1 and when the discriminant vanishes).
+    """
+
     status: str  # "irreducible" | "reducible" | "unknown"
+    discriminant: Fraction
     witness_prime: int | None = None
     witness_root: Fraction | None = None
     patterns: dict[int, tuple[int, ...]] = field(default_factory=dict)
@@ -510,53 +514,53 @@ def _subset_sum_possible(pattern: Sequence[int], d: int) -> bool:
 def poly_irreducible(p: RatPoly, prime_count: int = 20) -> IrreducibilityCertificate:
     """Certificate-based irreducibility test over Q.
 
-    Returns "irreducible" only with a sound witness: a prime where the
-    polynomial stays in one piece, or a prime set whose mod-p factor-degree
-    patterns rule out every proper factor degree. "reducible" always exhibits
-    a rational root or a perfect-square discriminant. Anything else is
-    "unknown".
+    The mod-p factor patterns come first. Rational-root candidates are tried
+    only while every pattern still allows a linear factor, since a rational
+    root shows up as a 1 in every pattern. Witnesses:
+
+    - "irreducible": a prime where p stays in one piece, a pattern set that
+      rules out every proper factor degree, or (degree <= 3) the absence of
+      a rational root, which for degree 2 is a non-square discriminant;
+    - "reducible": a rational root;
+    - anything else is "unknown".
     """
     d = p.degree
     if d < 1:
         raise ValueError("degree >= 1 required")
+    disc = discriminant(p)
     if d == 1:
-        return IrreducibilityCertificate("irreducible")
+        return IrreducibilityCertificate("irreducible", disc)
+    den, _ = p.clear_denominators()
+    bad = den * p.lead.numerator * disc.numerator  # 0 when p is not squarefree
+    patterns: dict[int, tuple[int, ...]] = {}
+    if bad:
+        for q in iter_primes():
+            if len(patterns) >= prime_count:
+                break
+            if bad % q:
+                patterns[q] = tuple(factor_degrees_mod_p(p, q))
+    cert = partial(IrreducibilityCertificate, discriminant=disc, patterns=patterns)
     if d == 2:
-        disc = p.coeffs[1] ** 2 - 4 * p.coeffs[2] * p.coeffs[0]
         root = _rational_square_root(disc)
         if root is None:
-            return IrreducibilityCertificate("irreducible")
-        return IrreducibilityCertificate(
-            "reducible", witness_root=(-p.coeffs[1] + root) / (2 * p.coeffs[2])
-        )
-    if p.coeffs[0] == 0:
-        return IrreducibilityCertificate("reducible", witness_root=Fraction(0))
-    candidates = _rational_root_candidates(p)
-    if candidates is not None:
-        for r in candidates:
-            if p.evaluate(r) == 0:
-                return IrreducibilityCertificate("reducible", witness_root=r)
-        if d == 3:
-            # a reducible cubic over Q must have a rational root
-            return IrreducibilityCertificate("irreducible")
-    disc_num = discriminant(p).numerator
-    if disc_num == 0:
-        return IrreducibilityCertificate("unknown")
-    lead_num = p.lead.numerator
-    patterns: dict[int, tuple[int, ...]] = {}
-    for q in iter_primes():
-        if len(patterns) >= prime_count:
-            break
-        if lead_num % q == 0 or disc_num % q == 0:
-            continue
-        pattern = tuple(factor_degrees_mod_p(p, q))
-        patterns[q] = pattern
-        if pattern == (d,):
-            return IrreducibilityCertificate("irreducible", witness_prime=q, patterns=patterns)
+            return cert("irreducible")
+        return cert("reducible", witness_root=(-p.coeffs[1] + root) / (2 * p.coeffs[2]))
+    if all(1 in pat for pat in patterns.values()):
+        candidates = _rational_root_candidates(p)
+        if candidates is not None:
+            for r in candidates:
+                if p.evaluate(r) == 0:
+                    return cert("reducible", witness_root=r)
+            if d == 3:
+                # a reducible cubic over Q must have a rational root
+                return cert("irreducible")
+    for q, pat in patterns.items():
+        if pat == (d,):
+            return cert("irreducible", witness_prime=q)
     for deg in range(1, d // 2 + 1):
         if all(_subset_sum_possible(pat, deg) for pat in patterns.values()):
-            return IrreducibilityCertificate("unknown", patterns=patterns)
-    return IrreducibilityCertificate("irreducible", patterns=patterns)
+            return cert("unknown")
+    return cert("irreducible")
 
 
 # ---------------------------------------------------------------------------

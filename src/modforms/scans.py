@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import mpmath
 
-from .arith import factorize, iter_primes, quad_field_discriminant, squarefree_kernel
+from .arith import factorize, quad_field_discriminant, squarefree_kernel
 from .dirichlet import (
     DirichletCharacter,
     abs_embed,
@@ -19,20 +19,14 @@ from .dirichlet import (
     gen_bernoulli,
 )
 from .forms import dim_Sk
-from .hecke import charpoly, hecke_matrix
+from .hecke import certified_charpoly, charpoly, hecke_matrix
 from .numfield import (
     NumberFieldElement,
     cyclotomic_field,
     dedekind_index_test,
     embed_cyclotomic,
 )
-from .polys import (
-    IrreducibilityCertificate,
-    RatPoly,
-    discriminant,
-    factor_degrees_mod_p,
-    poly_irreducible,
-)
+from .polys import IrreducibilityCertificate, RatPoly, poly_irreducible
 
 
 @lru_cache(maxsize=None)
@@ -342,29 +336,14 @@ class MaedaReport:
         }
 
 
-def _collect_patterns(
-    poly: RatPoly, count: int, disc_num: int
-) -> dict[int, tuple[int, ...]]:
-    lead_num = poly.lead.numerator
-    patterns: dict[int, tuple[int, ...]] = {}
-    if disc_num == 0:
-        return patterns
-    for q in iter_primes():
-        if len(patterns) >= count:
-            break
-        if lead_num % q == 0 or disc_num % q == 0:
-            continue
-        patterns[q] = tuple(factor_degrees_mod_p(poly, q))
-    return patterns
-
-
 def maeda_check(
     k: int,
     n_list: tuple[int, ...] = (2, 3, 5),
     pattern_primes: int = 30,
 ) -> MaedaReport:
     """Irreducibility certificate for a Hecke charpoly plus mod-p cycle-type
-    evidence for the full symmetric group (one-sided, explicitly heuristic)."""
+    evidence for the full symmetric group (one-sided, explicitly heuristic).
+    The evidence reads the certificate's patterns at pattern_primes primes."""
     d = dim_Sk(k)
     if d < 1:
         raise ValueError(f"weight {k} has no cusp forms")
@@ -372,17 +351,8 @@ def maeda_check(
         return MaedaReport(
             k, 1, None, None, None, None, None, None, True, None, {}, True, True, True
         )
-    cert = None
-    cp = None
-    index = None
-    for n in n_list:
-        cp = charpoly(hecke_matrix(n, k))
-        cert = poly_irreducible(cp, prime_count=pattern_primes)
-        index = n
-        if cert.is_irreducible or cert.is_reducible:
-            break
-    disc = discriminant(cp)
-    patterns = _collect_patterns(cp, pattern_primes, disc.numerator)
+    index, _, cp, cert = certified_charpoly(k, n_list, prime_count=pattern_primes)
+    disc, patterns = cert.discriminant, cert.patterns
     full_cycle = any(pat == (d,) for pat in patterns.values())
     transposition = any(
         sorted(pat) == [1] * (d - 2) + [2] for pat in patterns.values()
@@ -486,8 +456,7 @@ def hecke_field_intersection_check(k: int) -> IntersectionReport:
     cert2 = poly_irreducible(cp2)
     if not cert2.is_irreducible:
         raise ArithmeticError(f"weight-{2 * k} charpoly not certified irreducible")
-    disc1 = discriminant(cp1)
-    disc2 = discriminant(cp2)
+    disc1, disc2 = cert1.discriminant, cert2.discriminant
     split = squarefree_kernel(disc1.numerator)
     assert split.complete
     quad_disc = quad_field_discriminant(split.squarefree)

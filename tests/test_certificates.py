@@ -1,0 +1,139 @@
+"""Irreducibility certificates: verdicts against sympy, the discriminant and
+mod-p patterns the certificate carries, and how often the Hecke callers
+recompute them."""
+
+import sys
+from fractions import Fraction
+
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from modforms import forms, hecke, identities, polys, scans
+from modforms.arith import iter_primes
+from modforms.polys import RatPoly, discriminant, factor_degrees_mod_p, poly_irreducible
+
+X = sympy.symbols("x")
+
+ints = st.integers(min_value=-20, max_value=20)
+nonzero = ints.filter(bool)
+
+
+@st.composite
+def integer_polys(draw):
+    """Random integer polys of degree 2..7; half of them are products with a
+    linear or quadratic factor."""
+    def poly(degree):
+        return RatPoly(draw(st.lists(ints, min_size=degree, max_size=degree)) + [draw(nonzero)])
+
+    if draw(st.booleans()):
+        return poly(draw(st.integers(min_value=2, max_value=7)))
+    factor = poly(draw(st.integers(min_value=1, max_value=2)))
+    return factor * poly(draw(st.integers(min_value=1, max_value=7 - factor.degree)))
+
+
+def _sympy_irreducible(p: RatPoly) -> bool:
+    return sympy.Poly(list(reversed(p.coeffs)), X, domain=sympy.QQ).is_irreducible
+
+
+def _direct_patterns(p: RatPoly, count: int) -> dict[int, tuple[int, ...]]:
+    """factor_degrees_mod_p at the first count primes dividing no coefficient
+    denominator, the leading numerator or the discriminant."""
+    den, _ = p.clear_denominators()
+    disc = discriminant(p)
+    out: dict[int, tuple[int, ...]] = {}
+    if disc == 0:
+        return out
+    for q in iter_primes():
+        if len(out) == count:
+            return out
+        if den % q and p.lead.numerator % q and disc.numerator % q:
+            out[q] = tuple(factor_degrees_mod_p(p, q))
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_polys())
+def test_verdicts_agree_with_sympy(p):
+    cert = poly_irreducible(p)
+    if cert.is_irreducible:
+        assert _sympy_irreducible(p)
+    elif cert.is_reducible:
+        assert p.evaluate(cert.witness_root) == 0
+        assert not _sympy_irreducible(p)
+    else:
+        assert cert.status == "unknown" and p.degree >= 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_polys())
+def test_certificate_carries_discriminant_and_patterns(p):
+    cert = poly_irreducible(p, prime_count=12)
+    assert cert.discriminant == discriminant(p)
+    assert cert.patterns == _direct_patterns(p, 12)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        [1, 0, 1],  # x^2 + 1
+        [-1, 0, 1],  # (x - 1)(x + 1)
+        [-2, 0, 0, 1],  # x^3 - 2
+        [0, 0, 1, 1],  # x^2 (x + 1): vanishing discriminant
+        [Fraction(1, 3), 0, 0, 0, 1],  # x^4 + 1/3
+        [Fraction(1, 3), Fraction(1, 2), 0, 1],
+    ],
+)
+def test_patterns_for_small_degrees(coeffs):
+    p = RatPoly(coeffs)
+    cert = poly_irreducible(p)
+    assert cert.discriminant == discriminant(p)
+    assert cert.patterns == _direct_patterns(p, 20)
+
+
+def test_witness_prime_is_the_first_one_piece_pattern():
+    cp = hecke.charpoly(hecke.hecke_matrix(2, 36))
+    cert = poly_irreducible(cp)
+    assert cert.is_irreducible and len(cert.patterns) == 20
+    first = next(q for q, pat in cert.patterns.items() if pat == (cp.degree,))
+    assert cert.witness_prime == first
+
+
+def _count_calls(monkeypatch, names):
+    """Wrap each polys/forms/hecke function in every modforms namespace that
+    binds it; returns the live call counts."""
+    counts = dict.fromkeys(names, 0)
+    namespaces = [m for n, m in list(sys.modules.items()) if n.startswith("modforms")]
+    for name in names:
+        original = getattr({"miller_basis": forms, "eigenbasis": hecke}.get(name, polys), name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for ns in namespaces:
+            for key, value in list(vars(ns).items()):
+                if value is original:
+                    monkeypatch.setattr(ns, key, counted)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: scans.maeda_check(48), {"discriminant": 1, "factor_degrees_mod_p": 30}),
+        (lambda: scans.maeda_check(96), {"discriminant": 1, "factor_degrees_mod_p": 30}),
+        (lambda: hecke.eigenbasis(48), {"miller_basis": 1}),
+        (lambda: identities.nonvanishing_report(24), {"miller_basis": 2}),
+        (
+            lambda: identities.verify_table1(),
+            {"eigenbasis": 4, "miller_basis": 4, "discriminant": 2},
+        ),
+    ],
+    ids=["maeda_check(48)", "maeda_check(96)", "eigenbasis(48)", "nonvanishing_report(24)",
+         "verify_table1"],
+)
+def test_each_charpoly_and_basis_is_computed_once(monkeypatch, call, expected):
+    counts = _count_calls(monkeypatch, expected)
+    call()
+    assert counts == expected

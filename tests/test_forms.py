@@ -14,6 +14,7 @@ from modforms.forms import (
     miller_basis,
 )
 from modforms.numfield import QQ
+from modforms.polys import _binary_power, _dense_mul
 from modforms.qseries import QSeries
 
 
@@ -40,6 +41,17 @@ def test_delta_brute_force_product_oracle():
         work = work * factor**24
     oracle = work.shift(1).truncate(prec)
     assert delta(prec).series.coeffs == oracle.coeffs
+
+
+def test_delta_pentagonal_eta_matches_product_loop():
+    # eta = prod (1 - q^n) expanded factor by factor, then raised to the 24th
+    prec = 600
+    eta = [1] + [0] * (prec - 1)
+    for n in range(1, prec):
+        for i in range(prec - 1, n - 1, -1):
+            eta[i] -= eta[i - n]
+    power = _binary_power(eta, 24, [1], lambda a, b: _dense_mul(a, b, 0, prec))
+    assert delta(prec).series.coeffs == [0] + power[: prec - 1]
 
 
 def test_delta_tau_values():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modforms.numfield import NumberField
 from modforms.polys import (
     RatPoly,
     cyclotomic_polynomial,
@@ -144,6 +145,15 @@ def test_poly_irreducible_x4_plus_1_is_unknown():
     # x^4 + 1 factors mod every prime, so degree patterns alone cannot decide
     cert = poly_irreducible(RatPoly([1, 0, 0, 0, 1]))
     assert cert.status == "unknown"
+
+
+def test_poly_irreducible_non_integral_modulus():
+    # primes dividing a coefficient denominator are skipped like bad primes
+    p = RatPoly([Fraction(1, 3), 0, 0, 0, 1])  # x^4 + 1/3
+    cert = poly_irreducible(p)
+    assert cert.is_irreducible
+    assert 3 not in cert.patterns and len(cert.patterns) == 20
+    assert NumberField(p).degree == 4
 
 
 def test_poly_xgcd_and_gcd():

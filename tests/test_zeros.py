@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from modforms.roots import aberth_roots
 from modforms.zeros import (
     ARC_HIGH,
     ARC_LOW,
+    _pairing_distance,
     algebraic_poly,
     eval_series_at,
     expand_E12n,
@@ -129,3 +132,30 @@ def test_jvalue_check_small_n(n):
     assert report.verified
     assert len(report.zeros) == n
     assert report.max_pair_distance < 1e-8
+
+
+def _brute_force_pairing(xs, ys):
+    """Least maximum distance over all n! pairings."""
+    return min(
+        max(abs(x - ys[j]) for x, j in zip(xs, perm))
+        for perm in itertools.permutations(range(len(ys)))
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_sorted_pairing_matches_brute_force(n):
+    rng = random.Random(n)
+    for _ in range(20):
+        xs = [complex(rng.uniform(0, 1728), 0) for _ in range(n)]
+        ys = [complex(x.real + rng.uniform(-50, 50), rng.uniform(-1e-9, 1e-9)) for x in xs]
+        rng.shuffle(ys)
+        best = _brute_force_pairing(xs, ys)
+        assert best <= _pairing_distance(xs, ys) <= best + 1e-6
+        reals = [complex(y.real, 0) for y in ys]
+        assert _pairing_distance(xs, reals) == _brute_force_pairing(xs, reals)
+
+
+def test_jvalue_check_n10_verifies():
+    report = jvalue_algebraicity_check(10)
+    assert report.verified
+    assert len(report.zeros) == 10
