@@ -11,21 +11,6 @@ DEFAULT_TRIAL_BOUND = 10**6
 DEFAULT_RHO_ITERATIONS = 200_000
 
 
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with g = gcd(a, b) and a*x + b*y = g."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
-
 def is_probable_prime(n: int) -> bool:
     """Miller-Rabin with a base set that is deterministic below 3.3e24."""
     if n < 2:
@@ -47,19 +32,6 @@ def is_probable_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def primes_up_to(n: int) -> list[int]:
-    """Sieve of Eratosthenes, inclusive."""
-    if n < 2:
-        return []
-    sieve = bytearray(b"\x01") * (n + 1)
-    sieve[:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            start = p * p
-            sieve[start::p] = b"\x00" * ((n - start) // p + 1)
-    return [i for i, alive in enumerate(sieve) if alive]
 
 
 def iter_primes() -> Iterator[int]:

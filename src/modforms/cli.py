@@ -198,7 +198,6 @@ def cmd_zeros(args) -> int:
         args.n,
         tol_match=args.tol_match,
         tol_zero=args.tol_zero,
-        seed=args.seed,
     )
     _emit(args, report.as_json())
     return EXIT_OK if report.verified else EXIT_FAILED
@@ -262,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", choices=("text", "json", "csv"), default="text")
     common.add_argument("--out", help="write output to a file instead of stdout")
     common.add_argument("--prec", type=int, help="q-expansion precision override")
-    common.add_argument("--seed", type=int, default=0, help="root-finder perturbation seed")
     common.add_argument("--tol-zero", dest="tol_zero", type=float, default=1e-12)
     common.add_argument("--tol-match", dest="tol_match", type=float, default=1e-8)
 

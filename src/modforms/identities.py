@@ -397,20 +397,28 @@ def verify_table1(prec: int = 30) -> IdentityReport:
     """
     discrepancies: list[dict] = []
 
-    def check_row(k: int, reference_series) -> tuple[bool, str]:
+    def check_row(k: int, products: tuple[QSeries, QSeries], scales) -> tuple[bool, str]:
+        """The row's series is sum_i scales(K, root)_i * products_i, with the
+        products over Q and the scales in the Hecke field K."""
         f = eigenbasis(k, prec=prec + 2)[0]
         dec = decompose_square(f, prec=prec)
         K = dec.hecke_field
         root, d = _sqrt_of_disc_part(K)
         if d != TABLE1_DISCS[2 * k]:
             return False, f"discriminant part {d} != {TABLE1_DISCS[2 * k]}"
+        terms = [p.coerce_into(K) for p in products]
+
+        def reference_series(root: NumberFieldElement) -> QSeries:
+            a, b = scales(K, root)
+            return terms[0].scale(a) + terms[1].scale(b)
+
         g = dec.eigenform
-        recon = reference_series(K, root)
+        recon = reference_series(root)
         for n in range(min(prec, recon.prec, g.prec)):
             if recon.coeff(n) != g.a(n):
                 return False, f"series reconstruction differs at q^{n}"
         sigma_g = galois_conjugate(g)
-        recon_conj = reference_series(K, -root)
+        recon_conj = reference_series(-root)
         for n in range(min(prec, recon_conj.prec, sigma_g.prec)):
             if recon_conj.coeff(n) != sigma_g.a(n):
                 return False, f"conjugate reconstruction differs at q^{n}"
@@ -431,20 +439,19 @@ def verify_table1(prec: int = 30) -> IdentityReport:
         )
         return True, f"c_1 = 1/(24*sqrt({d})), c_2 = -c_1"
 
-    def row1_series(K: NumberField, root: NumberFieldElement) -> QSeries:
-        e12 = eisenstein_level1(12, prec).series.coerce_into(K)
-        dl = delta(prec).series.coerce_into(K)
-        const = 12 * root + K.coerce(TABLE1_ROW1_CONST)
-        return e12 * dl + (dl * dl).scale(const)
+    e4, e6, e12 = (eisenstein_level1(w, prec).series for w in (4, 6, 12))
+    dl = delta(prec).series
 
-    def row2_series(K: NumberField, root: NumberFieldElement) -> QSeries:
-        e4 = eisenstein_level1(4, prec).series.coerce_into(K)
-        e6 = eisenstein_level1(6, prec).series.coerce_into(K)
-        dl = delta(prec).series.coerce_into(K)
+    def row1_scales(K: NumberField, root: NumberFieldElement):
+        """E12 Delta + (12 sqrt(D) + const) Delta^2"""
+        return K.one(), 12 * root + K.coerce(TABLE1_ROW1_CONST)
+
+    def row2_scales(K: NumberField, root: NumberFieldElement):
+        """Delta (x E4^5 + (1 - x) E4^2 E6^2)"""
         x = (12 * root + K.coerce(TABLE1_ROW2_X_SHIFT)) * (1 / TABLE1_ROW2_X_DEN)
-        return dl * ((e4**5).scale(x) + (e4**2 * e6**2).scale(K.one() - x))
+        return x, K.one() - x
 
-    ok1, detail1 = check_row(12, row1_series)
+    ok1, detail1 = check_row(12, (e12 * dl, dl * dl), row1_scales)
     discrepancies.append(
         {
             "entry": "row(k=12).series_constant",
@@ -453,7 +460,7 @@ def verify_table1(prec: int = 30) -> IdentityReport:
             "note": "forced by the q^2 eigenvalue of the reconstructed eigenform",
         }
     )
-    ok2, detail2 = check_row(16, row2_series)
+    ok2, detail2 = check_row(16, (dl * e4**5, dl * e4**2 * e6**2), row2_scales)
     status = "verified" if ok1 and ok2 else "failed"
     return IdentityReport(
         "table1",

@@ -215,11 +215,6 @@ class RatPoly:
         return "RatPoly(" + " + ".join(parts) + ")"
 
 
-def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
-    """Monic gcd in Q[x]."""
-    return RatPoly(_dense_gcd(a.coeffs, b.coeffs))
-
-
 def poly_xgcd(a: RatPoly, b: RatPoly) -> tuple[RatPoly, RatPoly, RatPoly]:
     """Extended gcd in Q[x]: returns (g, u, v) with u*a + v*b = g, g monic."""
     r0, r1 = a, b

@@ -1,7 +1,7 @@
 """Simultaneous polynomial root finding by Aberth-Ehrlich iteration.
 
-Deterministic seeding keeps runs reproducible; no external polynomial
-library is involved.
+A fixed perturbation of the start circle keeps runs reproducible; no
+external polynomial library is involved.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ def _to_complex(c) -> complex:
 
 def aberth_roots(
     coeffs,
-    seed: int = 0,
     tol: float = 1e-13,
     max_iter: int = 500,
 ) -> list[complex]:
@@ -43,7 +42,7 @@ def aberth_roots(
     # Fujiwara root bound keeps the start circle close to the actual roots
     radius = 2.0 * max(abs(cs[n - k]) ** (1.0 / k) for k in range(1, n + 1))
     radius = max(radius, 0.5)
-    rng = random.Random(seed)
+    rng = random.Random(0)
     zs = [
         radius * cmath.exp(2j * cmath.pi * (i + 0.35 + 0.01 * rng.random()) / n)
         for i in range(n)

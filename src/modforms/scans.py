@@ -19,14 +19,16 @@ from .dirichlet import (
     gen_bernoulli,
 )
 from .forms import dim_Sk
-from .hecke import certified_charpoly, charpoly, hecke_matrix
+# hecke_matrix stays bound here: perfbench/tests/test_bench_tracer.py checks
+# that the tracer replaces this binding along with the one in modforms.hecke
+from .hecke import certified_charpoly, hecke_matrix  # noqa: F401
 from .numfield import (
     NumberFieldElement,
     cyclotomic_field,
     dedekind_index_test,
     embed_cyclotomic,
 )
-from .polys import IrreducibilityCertificate, RatPoly, poly_irreducible
+from .polys import IrreducibilityCertificate, RatPoly
 
 
 @lru_cache(maxsize=None)
@@ -205,13 +207,17 @@ class FinitenessReport:
         }
 
 
+def _q1_relation_holds(
+    b: Fraction, alpha: NumberFieldElement, beta: NumberFieldElement
+) -> bool:
+    """b + 2 beta = alpha, exactly, in the cyclotomic field holding both."""
+    field = cyclotomic_field(math.lcm(alpha.parent.zeta_order, beta.parent.zeta_order))
+    return field.coerce(b) + 2 * embed_cyclotomic(beta, field) == embed_cyclotomic(alpha, field)
+
+
 def eq12_holds_exactly(b: Fraction, k: int, phi: DirichletCharacter) -> bool:
     """Exact test of the q^1 coefficient relation b + 2 beta = alpha."""
-    alpha, beta = alpha_beta(k, phi)
-    field = cyclotomic_field(math.lcm(alpha.parent.zeta_order, beta.parent.zeta_order))
-    lhs = field.coerce(b) + 2 * embed_cyclotomic(beta, field)
-    rhs = embed_cyclotomic(alpha, field)
-    return lhs == rhs
+    return _q1_relation_holds(b, *alpha_beta(k, phi))
 
 
 def finiteness_scan(
@@ -253,12 +259,7 @@ def finiteness_scan(
                 if phi.parity() != (-1) ** k:
                     continue
                 alpha, beta = alpha_beta(k, phi)
-                field = cyclotomic_field(
-                    math.lcm(alpha.parent.zeta_order, beta.parent.zeta_order)
-                )
-                ok = field.coerce(b) + 2 * embed_cyclotomic(beta, field) == embed_cyclotomic(
-                    alpha, field
-                )
+                ok = _q1_relation_holds(b, alpha, beta)
                 cell = ScanCell(
                     k,
                     modulus,
@@ -448,12 +449,10 @@ def hecke_field_intersection_check(k: int) -> IntersectionReport:
         )
     if d1 != 2:
         raise ValueError("the quadratic-side route needs dim 2 in weight k")
-    cp1 = charpoly(hecke_matrix(2, k))
-    cert1 = poly_irreducible(cp1)
+    _, _, _, cert1 = certified_charpoly(k, (2,))
     if not cert1.is_irreducible:
         raise ArithmeticError(f"weight-{k} charpoly not certified irreducible")
-    cp2 = charpoly(hecke_matrix(2, 2 * k))
-    cert2 = poly_irreducible(cp2)
+    _, _, cp2, cert2 = certified_charpoly(2 * k, (2,))
     if not cert2.is_irreducible:
         raise ArithmeticError(f"weight-{2 * k} charpoly not certified irreducible")
     disc1, disc2 = cert1.discriminant, cert2.discriminant

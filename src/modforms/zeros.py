@@ -39,9 +39,10 @@ class MonomialExpansion:
 def expand_E12n(n: int, prec: int | None = None) -> MonomialExpansion:
     """Iterated constant-term extraction of the monomial coefficients.
 
-    At step l+1 the accumulated residual is divided by Delta^(l+1) (a
-    valuation shift plus a unit inversion) and the constant term is read off.
-    The residual is asserted to vanish to the working precision.
+    Before step l the residual is sum_{j >= l} a_j E_12^(n-j) Delta^j, which
+    is a_l q^l + O(q^(l+1)) because E_12 = 1 + O(q) and Delta = q + O(q^2);
+    so a_l is its q^l coefficient. The final residual must vanish to the
+    working precision, which also catches a nonzero lower coefficient.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -51,19 +52,15 @@ def expand_E12n(n: int, prec: int | None = None) -> MonomialExpansion:
         raise ValueError(f"prec must be at least {n + 2}")
     e12 = eisenstein_level1(12, prec).series
     dl = delta(prec).series
-    unit_inv = dl.shift(-1).inverse()  # (Delta/q)^(-1)
     e12_pows = [QSeries.constant(e12.field, 1, prec)]
     for _ in range(n):
         e12_pows.append(e12_pows[-1] * e12)
     residual = eisenstein_level1(12 * n, prec).series - e12_pows[n]
     coeffs = [Fraction(1)]
     dl_pow = QSeries.constant(dl.field, 1, prec)
-    unit_inv_pow = QSeries.constant(dl.field, 1, prec)
     for l in range(1, n + 1):
         dl_pow = dl_pow * dl
-        unit_inv_pow = unit_inv_pow * unit_inv
-        quotient = residual.shift(-l) * unit_inv_pow
-        a_l = quotient.coeff(0)
+        a_l = residual.coeff(l)
         coeffs.append(a_l)
         if a_l != 0:
             residual = residual - (e12_pows[n - l] * dl_pow).scale(a_l)
@@ -88,6 +85,49 @@ def _zeta_upper(s: int) -> float:
     return 1.0 + 2.0**-s + 2.0 ** (1 - s) / (s - 1)
 
 
+class SeriesEvaluator:
+    """sum a_n q^n for a rational q-series, by Horner over mpf coefficients,
+    with a bound on the dropped tail.
+
+    coeff_bound is A with |a_n| <= A n^(weight-1); the default |a_1|
+    zeta(weight-1) holds for the level-1 Eisenstein series, whose
+    a_n = a_1 sigma_{weight-1}(n), and for normalized eigenforms such as Delta.
+    """
+
+    def __init__(
+        self, series: QSeries, weight: int, coeff_bound: float | None = None, dps: int = 40
+    ):
+        if coeff_bound is None:
+            a1 = series.coeff(1)
+            coeff_bound = abs(a1.numerator) / a1.denominator * _zeta_upper(weight - 1)
+        self.prec = series.prec
+        self.exponent = weight - 1
+        self.coeff_bound = coeff_bound
+        self.dps = dps
+        with mpmath.workdps(dps):
+            self.coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(series.coeffs)]
+
+    def __call__(self, q):
+        with mpmath.workdps(self.dps):
+            acc = mpmath.mpc(0)
+            for c in self.coeffs:
+                acc = acc * q + c
+            return acc
+
+    def tail_bound(self, r) -> float:
+        """Bound on |sum_{n >= prec} a_n q^n| over |q| <= r, from
+        (1 + j/P)^e <= exp(j e/P): a geometric series of ratio r exp(e/P)."""
+        P, e = self.prec, self.exponent
+        with mpmath.workdps(self.dps):
+            r = mpmath.mpf(r)
+            if r**P > mpmath.mpf("1e-30"):
+                raise ValueError(f"precision {P} too small: |q|^prec must be below 1e-30")
+            ratio = float(r) * math.exp(e / P)
+            if ratio >= 0.5:
+                raise ValueError("tail ratio bound fails; increase the precision")
+            return float(mpmath.mpf(self.coeff_bound) * mpmath.mpf(P) ** e * r**P / (1 - ratio))
+
+
 def eval_series_at(
     series: QSeries,
     z: complex,
@@ -98,48 +138,22 @@ def eval_series_at(
     """Evaluate sum a_n exp(2 pi i n z) with a reported tail bound.
 
     The region is restricted to Im(z) >= 0.85 so that |q| <= 0.00482 and the
-    tail is controlled; coeff_bound is A with |a_n| <= A n^(weight-1) (for
-    the level-1 Eisenstein series A = |a_1| zeta(weight-1) works).
+    tail is controlled; see SeriesEvaluator for coeff_bound.
     """
+    evaluate = SeriesEvaluator(series, weight, coeff_bound, dps)
     with mpmath.workdps(dps):
         z = mpmath.mpc(z)
         if z.imag < 0.85:
             raise ValueError("evaluation restricted to Im(z) >= 0.85")
         q = mpmath.exp(2j * mpmath.pi * z)
-        r = abs(q)
-        P = series.prec
-        if mpmath.mpf(r) ** P > mpmath.mpf("1e-30"):
-            raise ValueError(f"precision {P} too small: |q|^prec must be below 1e-30")
-        if coeff_bound is None:
-            e = weight - 1
-            coeff_bound = 1.0
-            for n in range(1, P):
-                c = series.coeff(n)
-                mag = abs(c.numerator) / c.denominator / max(n, 1) ** e
-                coeff_bound = max(coeff_bound, mag * 1.0001)
-        acc = mpmath.mpc(0)
-        for c in reversed(series.coeffs):
-            acc = acc * q + mpmath.mpf(c.numerator) / c.denominator
-        e = weight - 1
-        ratio = float(r) * math.exp(e / P)
-        if ratio >= 0.5:
-            raise ValueError("tail ratio bound fails; increase the precision")
-        tail = float(mpmath.mpf(coeff_bound) * mpmath.mpf(P) ** e * r**P / (1 - ratio))
-        return acc, tail
-
-
-def _eisenstein_value(k: int, z, prec: int, dps: int):
-    series = eisenstein_level1(k, prec).series
-    a1 = series.coeff(1)
-    bound = abs(a1.numerator) / a1.denominator * _zeta_upper(k - 1)
-    return eval_series_at(series, z, k, coeff_bound=bound, dps=dps)
+        return evaluate(q), evaluate.tail_bound(abs(q))
 
 
 def jvalue_at(z, prec: int = 80, dps: int = 40):
     """j(z) = E_4(z)^3 / Delta(z) with Delta recovered from E_4 and E_6."""
     with mpmath.workdps(dps):
-        e4, _ = _eisenstein_value(4, z, prec, dps)
-        e6, _ = _eisenstein_value(6, z, prec, dps)
+        e4, _ = eval_series_at(eisenstein_level1(4, prec).series, z, 4, dps=dps)
+        e6, _ = eval_series_at(eisenstein_level1(6, prec).series, z, 6, dps=dps)
         dlt = (e4**3 - e6**2) / 1728
         return e4**3 / dlt
 
@@ -157,25 +171,16 @@ def arc_function(k: int, prec: int | None = None, dps: int = 40):
     """theta -> exp(ik theta/2) E_k(exp(i theta)), real on the arc."""
     if prec is None:
         prec = max(k + 10, 40)
-    series = eisenstein_level1(k, prec).series
-    a1 = series.coeff(1)
-    bound = abs(a1.numerator) / a1.denominator * _zeta_upper(k - 1)
+    evaluate = SeriesEvaluator(eisenstein_level1(k, prec).series, k, dps=dps)
     with mpmath.workdps(dps):
-        coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in series.coeffs]
-        rmax = mpmath.exp(-2 * mpmath.pi * mpmath.sin(mpmath.mpf(ARC_LOW)))
-        e = k - 1
-        ratio = float(rmax) * math.exp(e / prec)
-        assert ratio < 0.5
-        tail = float(mpmath.mpf(bound) * mpmath.mpf(prec) ** e * rmax**prec / (1 - ratio))
+        # |q| is largest at the arc's low end, where Im(z) = sin(pi/3)
+        tail = evaluate.tail_bound(mpmath.exp(-2 * mpmath.pi * mpmath.sin(mpmath.mpf(ARC_LOW))))
 
     def f(theta):
         with mpmath.workdps(dps):
             theta = mpmath.mpf(theta)
             q = mpmath.exp(2j * mpmath.pi * mpmath.exp(1j * theta))
-            acc = mpmath.mpc(0)
-            for c in reversed(coeffs):
-                acc = acc * q + c
-            rotated = mpmath.exp(0.5j * k * theta) * acc
+            rotated = mpmath.exp(0.5j * k * theta) * evaluate(q)
             assert abs(rotated.imag) <= tail + mpmath.mpf("1e-25") * (1 + abs(rotated))
             return rotated.real
 
@@ -183,24 +188,23 @@ def arc_function(k: int, prec: int | None = None, dps: int = 40):
     return f
 
 
-def find_arc_zeros(
-    k: int,
-    tol: float = 1e-12,
-    samples: int = 2048,
-    dps: int = 40,
-) -> list[ArcZero]:
-    """Zeros of E_k on the arc, from sign changes of the rotated real form
-    plus bisection; k must be a multiple of 12."""
+def find_arc_zeros(k: int, tol: float = 1e-12, dps: int = 40) -> list[ArcZero]:
+    """Zeros of E_k on the arc, k a multiple of 12, by bisection between the
+    points theta_m = 2 pi m / k, m = k/6 .. k/4.
+
+    Rankin and Swinnerton-Dyer ("On the zeros of Eisenstein series", 1970)
+    write the rotated form as 2 cos(k theta/2) + R with |R| < 2 on the arc,
+    so its sign at theta_m is (-1)^m and each of the k/12 gaps holds exactly
+    one zero. Callers still check the count.
+    """
     if k % 12:
         raise ValueError("arc-zero search is defined for weights divisible by 12")
     f = arc_function(k, dps=dps)
     with mpmath.workdps(dps):
-        lo, hi = mpmath.mpf(ARC_LOW), mpmath.mpf(ARC_HIGH)
-        step = (hi - lo) / samples
-        grid = [lo + i * step for i in range(samples + 1)]
+        grid = [2 * mpmath.pi * m / k for m in range(k // 6, k // 4 + 1)]
         values = [f(t) for t in grid]
         zeros: list[ArcZero] = []
-        for i in range(samples):
+        for i in range(len(grid) - 1):
             a, b = grid[i], grid[i + 1]
             fa, fb = values[i], values[i + 1]
             if fa == 0:
@@ -264,22 +268,20 @@ def jvalue_algebraicity_check(
     n: int,
     tol_match: float = 1e-8,
     tol_zero: float = 1e-12,
-    samples: int = 2048,
-    seed: int = 0,
     dps: int = 40,
 ) -> JAlgebraicityReport:
     """Match the j-values at the arc zeros of E_{12n} against the roots of the
     exact monomial polynomial shifted by 432000/691."""
     expansion = expand_E12n(n)
     poly = algebraic_poly(expansion)
-    zeros = find_arc_zeros(12 * n, tol=tol_zero, samples=samples, dps=dps)
+    zeros = find_arc_zeros(12 * n, tol=tol_zero, dps=dps)
     with mpmath.workdps(dps):
         jvals = []
         for z in zeros:
             zz = mpmath.exp(1j * mpmath.mpf(z.theta))
             jvals.append(complex(jvalue_at(zz, dps=dps)))
     shift = float(J_SHIFT)  # 432000/691, the exact j-shift constant
-    roots = [complex(r) + shift for r in aberth_roots(poly.coeffs, seed=seed)]
+    roots = [complex(r) + shift for r in aberth_roots(poly.coeffs)]
     if len(zeros) != n or len(roots) != n:
         return JAlgebraicityReport(
             n, expansion, zeros, jvals, roots, math.inf, "failed", tol_match

@@ -4,24 +4,10 @@ from modforms.arith import (
     divisors,
     factorize,
     is_probable_prime,
-    primes_up_to,
     quad_field_discriminant,
     sigma,
     squarefree_kernel,
-    xgcd,
 )
-
-
-def test_xgcd():
-    for a, b in [(12, 18), (0, 5), (7, 0), (-12, 18), (101, 103)]:
-        g, x, y = xgcd(a, b)
-        assert a * x + b * y == g
-        assert g >= 0
-
-
-def test_primes_up_to():
-    assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    assert primes_up_to(1) == []
 
 
 @pytest.mark.parametrize("p", [2, 3, 691, 144169, 2294797, 305065927])

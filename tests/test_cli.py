@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from modforms.cli import main
 
 
@@ -107,7 +109,7 @@ def test_deterministic_output(capsys):
     runs = []
     for _ in range(2):
         code, out, _ = run_cli(
-            capsys, "zeros", "2", "--seed", "7", "--output", "json"
+            capsys, "zeros", "2", "--output", "json"
         )
         assert code == 0
         runs.append(out)
@@ -161,6 +163,14 @@ def test_nonpositive_prec_is_a_usage_error(capsys):
             assert code == 2, argv
             assert out == ""
             assert err.startswith("error:")
+
+
+def test_seed_option_is_gone(capsys):
+    # the root finder starts from one fixed circle; --seed is no longer an option
+    with pytest.raises(SystemExit) as exc:
+        main(["zeros", "2", "--seed", "7", "--output", "json"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_empty_maeda_range_is_a_usage_error(capsys):

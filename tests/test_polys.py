@@ -11,7 +11,6 @@ from modforms.polys import (
     cyclotomic_polynomial,
     discriminant,
     factor_degrees_mod_p,
-    poly_gcd,
     poly_irreducible,
     poly_xgcd,
     resultant,
@@ -162,7 +161,6 @@ def test_poly_xgcd_and_gcd():
     g, u, v = poly_xgcd(a, b)
     assert u * a + v * b == g
     assert g == RatPoly([1, 1])
-    assert poly_gcd(a, RatPoly([-1, 1])) == RatPoly([-1, 1])
 
 
 def test_cyclotomic_polynomials():

@@ -3,17 +3,21 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
+from modforms import zeros
 from modforms.forms import delta, eisenstein_level1
 from modforms.identities import E24_A, E24_B
 from modforms.polys import RatPoly
+from modforms.qseries import QSeries
 from modforms.roots import aberth_roots
 from modforms.zeros import (
     ARC_HIGH,
     ARC_LOW,
     _pairing_distance,
     algebraic_poly,
+    arc_function,
     eval_series_at,
     expand_E12n,
     find_arc_zeros,
@@ -40,6 +44,32 @@ def test_expansion_exactness_gate():
         exp = expand_E12n(n, prec=4 * n + 20)
         assert exp.coeffs[0] == 1
         assert all(isinstance(c, Fraction) for c in exp.coeffs)
+
+
+def _expand_by_unit_inverse(n):
+    """The former extraction, kept as the oracle: a_l is the constant term of
+    residual / Delta^l, through the unit inverse (Delta/q)^(-1)."""
+    prec = 4 * n + 20
+    e12 = eisenstein_level1(12, prec).series
+    dl = delta(prec).series
+    unit_inv = dl.shift(-1).inverse()
+    residual = eisenstein_level1(12 * n, prec).series - e12**n
+    coeffs = [Fraction(1)]
+    dl_pow = QSeries.constant(dl.field, 1, prec)
+    unit_inv_pow = QSeries.constant(dl.field, 1, prec)
+    for l in range(1, n + 1):
+        dl_pow = dl_pow * dl
+        unit_inv_pow = unit_inv_pow * unit_inv
+        a_l = (residual.shift(-l) * unit_inv_pow).coeff(0)
+        coeffs.append(a_l)
+        residual = residual - (e12 ** (n - l) * dl_pow).scale(a_l)
+    assert residual.is_zero()
+    return tuple(coeffs)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_expansion_matches_unit_inverse_extraction(n):
+    assert expand_E12n(n).coeffs == _expand_by_unit_inverse(n)
 
 
 def test_algebraic_poly():
@@ -85,6 +115,87 @@ def test_zero_counts():
         find_arc_zeros(14)
 
 
+def _grid(k):
+    with mpmath.workdps(40):
+        return [2 * mpmath.pi * m / k for m in range(k // 6, k // 4 + 1)]
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_grid_signs_alternate_and_count_zeros(n):
+    # the sign at theta_m = 2 pi m / k is (-1)^m, so each of the n gaps holds
+    # one sign change; a coarse tol keeps the bisections short
+    k = 12 * n
+    f = arc_function(k)
+    with mpmath.workdps(40):
+        for m, theta in zip(range(k // 6, k // 4 + 1), _grid(k)):
+            assert (f(theta) > 0) == (m % 2 == 0), m
+    assert len(find_arc_zeros(k, tol=1e-3)) == n
+
+
+def test_grid_costs_n_plus_one_evaluations(monkeypatch):
+    n, k = 7, 84
+    calls = []
+
+    def counting_arc_function(*args, **kwargs):
+        f = arc_function(*args, **kwargs)
+
+        def counted(theta):
+            calls.append(theta)
+            return f(theta)
+
+        return counted
+
+    monkeypatch.setattr(zeros, "arc_function", counting_arc_function)
+    # tol above the gap width: the grid, then one residual evaluation per zero
+    assert len(find_arc_zeros(k, tol=1.0)) == n
+    assert calls[: n + 1] == _grid(k)
+    assert len(calls) == (n + 1) + n
+    calls.clear()
+    find_arc_zeros(k)
+    steps = math.ceil(math.log2(2 * math.pi / k / 1e-12))
+    assert len(calls) == (n + 1) + n * (steps + 1) < 300
+
+
+def _scan_arc_zeros(k, tol=1e-12, samples=2048, dps=40):
+    """The former search, kept as the oracle: sign changes on a fixed grid of
+    2048 steps over [pi/3, pi/2], then bisection."""
+    f = arc_function(k, dps=dps)
+    with mpmath.workdps(dps):
+        lo, hi = mpmath.mpf(ARC_LOW), mpmath.mpf(ARC_HIGH)
+        step = (hi - lo) / samples
+        grid = [lo + i * step for i in range(samples + 1)]
+        values = [f(t) for t in grid]
+        thetas = []
+        for i in range(samples):
+            a, b = grid[i], grid[i + 1]
+            fa, fb = values[i], values[i + 1]
+            if fa == 0:
+                thetas.append(float(a))
+                continue
+            if fa * fb < 0:
+                while b - a > tol:
+                    mid = (a + b) / 2
+                    fm = f(mid)
+                    if fm == 0:
+                        a = b = mid
+                        break
+                    if fa * fm < 0:
+                        b, fb = mid, fm
+                    else:
+                        a, fa = mid, fm
+                thetas.append(float((a + b) / 2))
+        return thetas
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_grid_search_matches_fixed_scan(n):
+    tol = 1e-12
+    found = [z.theta for z in find_arc_zeros(12 * n, tol=tol)]
+    expected = _scan_arc_zeros(12 * n, tol=tol)
+    assert len(found) == len(expected) == n
+    assert all(abs(a - b) <= tol for a, b in zip(found, expected))
+
+
 def test_zero_residuals_and_range():
     for z in find_arc_zeros(24, tol=1e-12):
         assert ARC_LOW <= z.theta <= ARC_HIGH
@@ -107,7 +218,7 @@ def test_aberth_root_contract():
         RatPoly([1, 0, 0, 0, 1]),
     ]
     for poly in polys:
-        roots = aberth_roots(poly.coeffs, seed=0)
+        roots = aberth_roots(poly.coeffs)
         scale = max(abs(complex(c)) for c in poly.coeffs)
         for r in roots:
             val = sum(complex(c) * r**i for i, c in enumerate(poly.coeffs))
