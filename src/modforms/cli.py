@@ -145,8 +145,7 @@ def cmd_hecke(args) -> int:
 
 def cmd_eigen(args) -> int:
     k = args.weight
-    prec = args.prec if args.prec is not None else max(3 * dim_Sk(k) + 5, 12)
-    forms = eigenbasis(k, prec=prec)
+    forms = eigenbasis(k, prec=args.prec)
     payload = {"weight": k, "dim": dim_Sk(k), "forms": [f.as_json() for f in forms]}
     if isinstance(forms[0].field, NumberField) and forms[0].field.degree == 2:
         payload["conjugate"] = galois_conjugate(forms[0]).as_json()
@@ -175,19 +174,10 @@ def _render_reports(payload: dict) -> str:
 
 def cmd_verify(args) -> int:
     prec = args.prec if args.prec is not None else 100
-    which = args.target
-    if which == "ramanujan":
-        reports = [identities.verify_ramanujan(min(prec, 200), congruence_range=500)]
-    elif which == "e24":
-        reports = [identities.verify_e24(min(prec, 80))]
-    elif which == "e32":
-        reports = [identities.verify_e32(min(prec, 80))]
-    elif which == "table1":
-        reports = [identities.verify_table1(30)]
-    elif which == "all":
+    if args.target == "all":
         reports = identities.verify_all(prec)
     else:
-        raise CliError(f"unknown verification target {which!r}")
+        reports = [identities.VERIFY_TARGETS[args.target](prec)]
     payload = {"reports": [r.as_json() for r in reports]}
     _emit(args, payload, _render_reports)
     return EXIT_OK if all(r.verified for r in reports) else EXIT_FAILED
@@ -260,9 +250,11 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", choices=("text", "json", "csv"), default="text")
     common.add_argument("--out", help="write output to a file instead of stdout")
-    common.add_argument("--prec", type=int, help="q-expansion precision override")
-    common.add_argument("--tol-zero", dest="tol_zero", type=float, default=1e-12)
-    common.add_argument("--tol-match", dest="tol_match", type=float, default=1e-8)
+    precision = argparse.ArgumentParser(add_help=False, parents=[common])
+    precision.add_argument("--prec", type=int, help="q-expansion precision override")
+    tolerances = argparse.ArgumentParser(add_help=False, parents=[common])
+    tolerances.add_argument("--tol-zero", dest="tol_zero", type=float, default=1e-12)
+    tolerances.add_argument("--tol-match", dest="tol_match", type=float, default=1e-8)
 
     parser = argparse.ArgumentParser(
         prog="modforms",
@@ -270,11 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("qexp", parents=[common], help="print a q-expansion")
+    p = sub.add_parser("qexp", parents=[precision], help="print a q-expansion")
     p.add_argument("form", help="E4, E6, Ek:k, Delta, j, or EisNk:psi,phi,t,k")
     p.set_defaults(func=cmd_qexp)
 
-    p = sub.add_parser("basis", parents=[common], help="echelon basis of a weight")
+    p = sub.add_parser("basis", parents=[precision], help="echelon basis of a weight")
     p.add_argument("weight", type=int)
     p.add_argument("--cusp", action="store_true")
     p.set_defaults(func=cmd_basis)
@@ -284,21 +276,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("weight", type=int)
     p.set_defaults(func=cmd_hecke)
 
-    p = sub.add_parser("eigen", parents=[common], help="normalized eigenbasis")
+    p = sub.add_parser("eigen", parents=[precision], help="normalized eigenbasis")
     p.add_argument("weight", type=int)
     p.set_defaults(func=cmd_eigen)
 
     p = sub.add_parser(
-        "decompose", parents=[common], help="decompose the weight-k eigenform square"
+        "decompose", parents=[precision], help="decompose the weight-k eigenform square"
     )
     p.add_argument("weight", type=int)
     p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("verify", parents=[common], help="identity verification reports")
-    p.add_argument("target", choices=("ramanujan", "e24", "e32", "table1", "all"))
+    p = sub.add_parser("verify", parents=[precision], help="identity verification reports")
+    p.add_argument("target", choices=(*identities.VERIFY_TARGETS, "all"))
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("zeros", parents=[common], help="j-algebraicity report for weight 12n")
+    p = sub.add_parser("zeros", parents=[tolerances], help="j-algebraicity report for weight 12n")
     p.add_argument("n", type=int)
     p.set_defaults(func=cmd_zeros)
 
@@ -332,7 +324,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.prec is not None and args.prec <= 0:
+        prec = getattr(args, "prec", None)
+        if prec is not None and prec <= 0:
             raise CliError("--prec must be positive")
         return args.func(args)
     except CliError as exc:

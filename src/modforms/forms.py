@@ -17,6 +17,7 @@ from .dirichlet import (
     sigma_gen,
     trivial_character,
 )
+from .linalg import row_reduce
 from .numfield import QQ, embed_cyclotomic
 from .polys import _binary_power, _dense_mul
 from .qseries import QSeries
@@ -138,22 +139,14 @@ def miller_basis(k: int, prec: int | None = None, cusp_only: bool = False) -> Sp
         w = k - 12 * j
         b = 1 if w % 4 == 2 else 0
         a = (w - 6 * b) // 4
-        rows.append((e4**a) * (e6**b) * dpow if (a or b) else dpow)
+        rows.append(((e4**a) * (e6**b) * dpow if (a or b) else dpow).coeffs)
         dpow = dpow * dl
-    for c in range(d):
-        piv = rows[c].coeff(c)
-        assert piv != 0
-        if piv != 1:
-            rows[c] = rows[c].scale(1 / piv)
-        for r in range(d):
-            if r != c:
-                f = rows[r].coeff(c)
-                if f != 0:
-                    rows[r] = rows[r] - rows[c].scale(f)
+    pivots = row_reduce(rows, Fraction(0), Fraction(1))
+    assert pivots == list(range(d))
     start = 1 if cusp_only else 0
     tag = "S" if cusp_only else "M"
     forms = tuple(
-        ModularForm(k, 1, trivial_character(1), rows[j], f"{tag}{k}.{j}")
+        ModularForm(k, 1, trivial_character(1), QSeries(QQ, rows[j], prec), f"{tag}{k}.{j}")
         for j in range(start, d)
     )
     return SpaceBasis(k, cusp_only, forms, prec)

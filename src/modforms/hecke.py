@@ -16,7 +16,7 @@ from .polys import IrreducibilityCertificate, RatPoly, poly_irreducible
 from .qseries import QSeries
 
 
-class UnsupportedHeckeField(RuntimeError):
+class UnsupportedHeckeField(ArithmeticError):
     """Raised when no irreducibility certificate backs the eigenbasis
     construction (or a charpoly is exhibited reducible)."""
 
@@ -122,21 +122,22 @@ def charpoly(matrix: HeckeMatrix) -> RatPoly:
     return charpoly_rational([list(row) for row in matrix.entries])
 
 
+# The one certificate policy for every Hecke field: T_n for the first decisive
+# n, with mod-p patterns at poly_irreducible's default count of primes. With
+# that count T_2 is decisive for every cusp weight k <= 160.
+HECKE_INDICES = (2, 3, 5)
+
+
 def certified_charpoly(
-    k: int,
-    indices: tuple[int, ...] = (2, 3, 5),
-    basis: SpaceBasis | None = None,
-    prime_count: int = 20,
+    k: int, basis: SpaceBasis | None = None
 ) -> tuple[int, HeckeMatrix, RatPoly, IrreducibilityCertificate]:
-    """(n, T_n, charpoly, certificate) for the first n in indices whose charpoly
-    certificate is decisive (irreducible or reducible); the last n tried when
-    none is."""
-    if not indices:
-        raise ValueError("no Hecke index to try")
-    for n in indices:
+    """(n, T_n, charpoly, certificate) for the first n in HECKE_INDICES whose
+    charpoly certificate is decisive (irreducible or reducible); the last n
+    tried when none is."""
+    for n in HECKE_INDICES:
         matrix = hecke_matrix(n, k, basis)
         cp = charpoly(matrix)
-        cert = poly_irreducible(cp, prime_count)
+        cert = poly_irreducible(cp)
         if cert.status != "unknown":
             break
     return n, matrix, cp, cert
@@ -170,11 +171,7 @@ class Eigenform:
         }
 
 
-def eigenbasis(
-    k: int,
-    prec: int | None = None,
-    hecke_indices: tuple[int, ...] = (2, 3, 5),
-) -> list[Eigenform]:
+def eigenbasis(k: int, prec: int | None = None) -> list[Eigenform]:
     """Normalized eigenbasis of the weight-k cusp space, as one orbit
     representative over the Hecke field.
 
@@ -190,14 +187,14 @@ def eigenbasis(
     if d == 1:
         series = basis.forms[0].series.truncate(prec) if basis.prec > prec else basis.forms[0].series
         return [Eigenform(k, QQ, series, f"S{k}.a")]
-    n, matrix, cp, cert = certified_charpoly(k, hecke_indices, basis)
+    n, matrix, cp, cert = certified_charpoly(k, basis)
     if cert.is_reducible:
         raise UnsupportedHeckeField(
             f"T_{n} charpoly reducible in weight {k}: root {cert.witness_root}"
         )
     if not cert.is_irreducible:
         raise UnsupportedHeckeField(
-            f"no irreducibility certificate for weight {k} (tried {hecke_indices}); "
+            f"no irreducibility certificate for weight {k} (tried {HECKE_INDICES}); "
             f"last status: {cert.status}"
         )
     field = NumberField(cp, certificate=cert)

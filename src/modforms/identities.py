@@ -471,10 +471,15 @@ def verify_table1(prec: int = 30) -> IdentityReport:
     )
 
 
+# Each verification target and its report at a requested precision, capped
+# per target; `verify_all` and the CLI's `verify` read this one table.
+VERIFY_TARGETS = {
+    "ramanujan": lambda prec: verify_ramanujan(min(prec, 200), congruence_range=500),
+    "e24": lambda prec: verify_e24(min(prec, 80)),
+    "e32": lambda prec: verify_e32(min(prec, 80)),
+    "table1": lambda prec: verify_table1(30),
+}
+
+
 def verify_all(prec: int = 100) -> list[IdentityReport]:
-    return [
-        verify_ramanujan(min(prec, 200), congruence_range=500),
-        verify_e24(min(prec, 80)),
-        verify_e32(min(prec, 80)),
-        verify_table1(30),
-    ]
+    return [verify(prec) for verify in VERIFY_TARGETS.values()]

@@ -42,62 +42,51 @@ def charpoly_rational(a) -> RatPoly:
     return RatPoly(coeffs)
 
 
-def invert_rational(a):
-    """Inverse of a square rational matrix; raises ValueError when singular."""
-    n = len(a)
-    m = [list(row) + ident for row, ident in zip(a, mat_identity(n))]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            raise ValueError("singular matrix")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [row[n:] for row in m]
+def row_reduce(m, zero, one) -> list[int]:
+    """Bring the rows of m to reduced row echelon form in place; returns the
+    pivot columns.
 
-
-def kernel_vector(a, field):
-    """One nonzero kernel vector of a square matrix over a field.
-
-    Entries must support +, -, *, / and == 0; raises when the kernel is
-    trivial.
+    Entries must support +, -, *, / and ==; the one exact elimination loop
+    that every inverse, kernel and echelon basis goes through.
     """
-    n = len(a)
-    m = [row[:] for row in a]
-    zero, one = field.zero(), field.one()
-    pivots: list[int] = []  # pivot column of each eliminated row
-    row = 0
-    for col in range(n):
-        pivot = None
-        for r in range(row, n):
-            if not m[r][col] == zero:
-                pivot = r
-                break
+    pivots: list[int] = []
+    for col in range(len(m[0]) if m else 0):
+        row = len(pivots)
+        pivot = next((r for r in range(row, len(m)) if not m[r][col] == zero), None)
         if pivot is None:
             continue
         m[row], m[pivot] = m[pivot], m[row]
         inv = one / m[row][col]
         m[row] = [inv * x for x in m[row]]
-        for r in range(n):
+        for r in range(len(m)):
             if r != row and not m[r][col] == zero:
                 f = m[r][col]
                 m[r] = [x - f * y for x, y in zip(m[r], m[row])]
         pivots.append(col)
-        row += 1
-    free = [c for c in range(n) if c not in pivots]
-    if not free:
+    return pivots
+
+
+def invert_rational(a):
+    """Inverse of a square rational matrix; raises ValueError when singular."""
+    n = len(a)
+    m = [list(row) + ident for row, ident in zip(a, mat_identity(n))]
+    if row_reduce(m, Fraction(0), Fraction(1)) != list(range(n)):
+        raise ValueError("singular matrix")
+    return [row[n:] for row in m]
+
+
+def kernel_vector(a, field):
+    """One nonzero kernel vector of a matrix over a field, from its first
+    free column; raises when the kernel is trivial."""
+    n = len(a[0])
+    m = [row[:] for row in a]
+    zero, one = field.zero(), field.one()
+    pivots = row_reduce(m, zero, one)
+    free = next((c for c in range(n) if c not in pivots), None)
+    if free is None:
         raise ValueError("trivial kernel")
-    fc = free[0]
     v = [zero] * n
-    v[fc] = one
+    v[free] = one
     for r, pc in enumerate(pivots):
-        v[pc] = -m[r][fc]
+        v[pc] = -m[r][free]
     return v

@@ -506,7 +506,7 @@ def _subset_sum_possible(pattern: Sequence[int], d: int) -> bool:
     return bool(reachable >> d & 1)
 
 
-def poly_irreducible(p: RatPoly, prime_count: int = 20) -> IrreducibilityCertificate:
+def poly_irreducible(p: RatPoly, prime_count: int = 30) -> IrreducibilityCertificate:
     """Certificate-based irreducibility test over Q.
 
     The mod-p factor patterns come first. Rational-root candidates are tried

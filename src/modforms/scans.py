@@ -337,14 +337,10 @@ class MaedaReport:
         }
 
 
-def maeda_check(
-    k: int,
-    n_list: tuple[int, ...] = (2, 3, 5),
-    pattern_primes: int = 30,
-) -> MaedaReport:
+def maeda_check(k: int) -> MaedaReport:
     """Irreducibility certificate for a Hecke charpoly plus mod-p cycle-type
     evidence for the full symmetric group (one-sided, explicitly heuristic).
-    The evidence reads the certificate's patterns at pattern_primes primes."""
+    The evidence reads the patterns of hecke.certified_charpoly's certificate."""
     d = dim_Sk(k)
     if d < 1:
         raise ValueError(f"weight {k} has no cusp forms")
@@ -352,7 +348,7 @@ def maeda_check(
         return MaedaReport(
             k, 1, None, None, None, None, None, None, True, None, {}, True, True, True
         )
-    index, _, cp, cert = certified_charpoly(k, n_list, prime_count=pattern_primes)
+    index, _, cp, cert = certified_charpoly(k)
     disc, patterns = cert.discriminant, cert.patterns
     full_cycle = any(pat == (d,) for pat in patterns.values())
     transposition = any(
@@ -449,10 +445,10 @@ def hecke_field_intersection_check(k: int) -> IntersectionReport:
         )
     if d1 != 2:
         raise ValueError("the quadratic-side route needs dim 2 in weight k")
-    _, _, _, cert1 = certified_charpoly(k, (2,))
+    _, _, _, cert1 = certified_charpoly(k)
     if not cert1.is_irreducible:
         raise ArithmeticError(f"weight-{k} charpoly not certified irreducible")
-    _, _, cp2, cert2 = certified_charpoly(2 * k, (2,))
+    _, _, cp2, cert2 = certified_charpoly(2 * k)
     if not cert2.is_irreducible:
         raise ArithmeticError(f"weight-{2 * k} charpoly not certified irreducible")
     disc1, disc2 = cert1.discriminant, cert2.discriminant

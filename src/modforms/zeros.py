@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 
@@ -114,6 +115,15 @@ class SeriesEvaluator:
                 acc = acc * q + c
             return acc
 
+    def at(self, z):
+        """(value, tail bound) at q = exp(2 pi i z), for Im(z) >= 0.85."""
+        with mpmath.workdps(self.dps):
+            z = mpmath.mpc(z)
+            if z.imag < 0.85:
+                raise ValueError("evaluation restricted to Im(z) >= 0.85")
+            q = mpmath.exp(2j * mpmath.pi * z)
+            return self(q), self.tail_bound(abs(q))
+
     def tail_bound(self, r) -> float:
         """Bound on |sum_{n >= prec} a_n q^n| over |q| <= r, from
         (1 + j/P)^e <= exp(j e/P): a geometric series of ratio r exp(e/P)."""
@@ -140,20 +150,20 @@ def eval_series_at(
     The region is restricted to Im(z) >= 0.85 so that |q| <= 0.00482 and the
     tail is controlled; see SeriesEvaluator for coeff_bound.
     """
-    evaluate = SeriesEvaluator(series, weight, coeff_bound, dps)
-    with mpmath.workdps(dps):
-        z = mpmath.mpc(z)
-        if z.imag < 0.85:
-            raise ValueError("evaluation restricted to Im(z) >= 0.85")
-        q = mpmath.exp(2j * mpmath.pi * z)
-        return evaluate(q), evaluate.tail_bound(abs(q))
+    return SeriesEvaluator(series, weight, coeff_bound, dps).at(z)
+
+
+@lru_cache(maxsize=1)
+def _e4_e6_evaluators(prec: int, dps: int) -> tuple[SeriesEvaluator, SeriesEvaluator]:
+    """E_4 and E_6 to prec terms, built once for every zero jvalue_at visits;
+    its one caller, jvalue_algebraicity_check, keeps one (prec, dps) key."""
+    return tuple(SeriesEvaluator(eisenstein_level1(w, prec).series, w, dps=dps) for w in (4, 6))
 
 
 def jvalue_at(z, prec: int = 80, dps: int = 40):
     """j(z) = E_4(z)^3 / Delta(z) with Delta recovered from E_4 and E_6."""
     with mpmath.workdps(dps):
-        e4, _ = eval_series_at(eisenstein_level1(4, prec).series, z, 4, dps=dps)
-        e6, _ = eval_series_at(eisenstein_level1(6, prec).series, z, 6, dps=dps)
+        e4, e6 = (evaluate.at(z)[0] for evaluate in _e4_e6_evaluators(prec, dps))
         dlt = (e4**3 - e6**2) / 1728
         return e4**3 / dlt
 

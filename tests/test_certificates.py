@@ -86,14 +86,14 @@ def test_certificate_carries_discriminant_and_patterns(p):
 )
 def test_patterns_for_small_degrees(coeffs):
     p = RatPoly(coeffs)
-    cert = poly_irreducible(p)
+    cert = poly_irreducible(p, prime_count=20)
     assert cert.discriminant == discriminant(p)
     assert cert.patterns == _direct_patterns(p, 20)
 
 
 def test_witness_prime_is_the_first_one_piece_pattern():
     cp = hecke.charpoly(hecke.hecke_matrix(2, 36))
-    cert = poly_irreducible(cp)
+    cert = poly_irreducible(cp, prime_count=20)
     assert cert.is_irreducible and len(cert.patterns) == 20
     first = next(q for q, pat in cert.patterns.items() if pat == (cp.degree,))
     assert cert.witness_prime == first

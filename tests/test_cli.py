@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from modforms import hecke
 from modforms.cli import main
+from modforms.polys import RatPoly, poly_irreducible
 
 
 def run_cli(capsys, *args):
@@ -189,3 +191,22 @@ def test_cli_import_does_not_load_numpy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+def test_uncertified_hecke_field_is_an_error_exit(capsys, monkeypatch):
+    cp = RatPoly([1, 0, 0, 0, 1])  # x^4 + 1 splits mod every prime: no certificate
+    cert = poly_irreducible(cp)
+    assert cert.status == "unknown"
+    monkeypatch.setattr(hecke, "certified_charpoly", lambda k, basis=None: (2, None, cp, cert))
+    code, out, err = run_cli(capsys, "eigen", "24", "--output", "json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: no irreducibility certificate")
+
+
+def test_options_only_on_subcommands_that_read_them(capsys):
+    for argv in (("maeda", "24", "--prec", "5"), ("qexp", "E4", "--tol-match", "1e-3")):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--output", "json"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -15,6 +15,7 @@ from modforms.hecke import (
 from modforms.linalg import mat_mul
 from modforms.numfield import QQ
 from modforms.polys import RatPoly
+from modforms.scans import maeda_check
 
 
 def test_action_examples():
@@ -182,3 +183,15 @@ def test_galois_conjugate_degree3_unsupported():
     assert g.field.degree == 3
     with pytest.raises(UnsupportedHeckeField):
         galois_conjugate(g)
+
+
+def test_eigenbasis_and_maeda_share_the_certificate_policy():
+    # at 20 primes the T_2 certificate is unknown here, at 30 it is decisive
+    assert eigenbasis(72)[0].hecke_index == 2 == maeda_check(72).hecke_index
+
+
+def test_eigenbasis_weight_118_is_certified():
+    # at 20 primes no T_2, T_3 or T_5 certificate is decisive here
+    g = eigenbasis(118)[0]
+    assert g.hecke_index == 2
+    assert g.field.degree == dim_Sk(118)

@@ -1,5 +1,6 @@
 """Differential tests of the dense kernels in modforms.polys against sympy.Poly
-over QQ, plus square-and-multiply against repeated multiplication."""
+over QQ, plus square-and-multiply against repeated multiplication, and of the
+row reduction in modforms.linalg against sympy.Matrix.rref."""
 
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from modforms.linalg import invert_rational, kernel_vector, row_reduce
 from modforms.numfield import QQ, NumberField
 from modforms.polys import (
     RatPoly,
@@ -123,3 +125,70 @@ def test_binary_power_skips_the_last_squaring():
         # bit_length - 1 squarings plus one product per further set bit
         assert len(calls) == (e.bit_length() - 1) + (bin(e).count("1") - 1)
     assert _binary_power(3, 0, 1, mul) == 1
+
+
+# rational matrices of 1..5 rows and columns; zeros are frequent, and when
+# the flag is set the last row is a combination of the first two, so singular
+# and rank-deficient matrices come up often
+def _matrices(rows, cols):
+    entry = st.one_of(st.just(Fraction(0)), small_fractions)
+    body = st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+    def dependent(t):
+        m, flag = t
+        if flag and len(m) >= 3:
+            m[-1] = [x + 2 * y for x, y in zip(m[0], m[1])]
+        return m
+
+    return st.tuples(body, st.booleans()).map(dependent)
+
+
+rational_matrices = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+    lambda rc: _matrices(*rc)
+)
+square_matrices = st.integers(1, 5).flatmap(lambda n: _matrices(n, n))
+
+
+def to_sympy_matrix(m) -> sympy.Matrix:
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m])
+
+
+def from_sympy_matrix(m: sympy.Matrix) -> list[list[Fraction]]:
+    return [[Fraction(int(x.p), int(x.q)) for x in m.row(i)] for i in range(m.rows)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices)
+def test_row_reduce_matches_sympy_rref(m):
+    work = [row[:] for row in m]
+    pivots = row_reduce(work, Fraction(0), Fraction(1))
+    rref, sympy_pivots = to_sympy_matrix(m).rref()
+    assert work == from_sympy_matrix(rref)
+    assert pivots == list(sympy_pivots)
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices)
+def test_invert_rational_matches_sympy(m):
+    a = to_sympy_matrix(m)
+    if a.det() == 0:
+        with pytest.raises(ValueError, match="singular"):
+            invert_rational(m)
+    else:
+        assert invert_rational(m) == from_sympy_matrix(a.inv())
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices)
+def test_kernel_vector_matches_sympy_nullspace(m):
+    nullspace = to_sympy_matrix(m).nullspace()
+    if not nullspace:
+        with pytest.raises(ValueError, match="trivial kernel"):
+            kernel_vector(m, QQ)
+        return
+    v = kernel_vector(m, QQ)
+    assert any(x != 0 for x in v)
+    assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in m)
+    # the first free column gives sympy's first nullspace basis vector
+    assert v == [row[0] for row in from_sympy_matrix(nullspace[0])]
+

@@ -160,7 +160,7 @@ def test_maeda_agrees_with_square_test_for_quadratics():
 
 def test_maeda_sn_evidence_for_moderate_weights():
     for k in (24, 36, 48):
-        rep = maeda_check(k, pattern_primes=40)
+        rep = maeda_check(k)
         assert rep.certificate.is_irreducible
         assert rep.has_full_cycle
         assert rep.has_transposition

@@ -270,3 +270,18 @@ def test_jvalue_check_n10_verifies():
     report = jvalue_algebraicity_check(10)
     assert report.verified
     assert len(report.zeros) == 10
+
+
+def test_jvalues_build_e4_and_e6_once(monkeypatch):
+    built = []
+    real = zeros.eisenstein_level1
+
+    def counted(k, prec):
+        built.append(k)
+        return real(k, prec)
+
+    monkeypatch.setattr(zeros, "eisenstein_level1", counted)
+    zeros._e4_e6_evaluators.cache_clear()
+    assert jvalue_algebraicity_check(3).verified
+    # E_12 and E_36 for the expansion, E_36 for the arc, E_4 and E_6 for all 3 zeros
+    assert sorted(built) == [4, 6, 12, 36, 36]
