@@ -86,7 +86,8 @@ def delta(prec: int) -> ModularForm:
             if e < prec:
                 eta[e] = (-1) ** m
         m += 1
-    # plain ints here: Fraction coefficients make this product ~10x slower
+    # plain ints here: with a Fraction zero each squaring would convert to ints
+    # and back
     power = _binary_power(eta, 24, [1], lambda a, b: _dense_mul(a, b, 0, prec))
     coeffs = [0] + power[: prec - 1]
     return ModularForm(12, 1, trivial_character(1), QSeries(QQ, coeffs, prec), "Delta")

@@ -103,6 +103,8 @@ def hecke_matrix(n: int, k: int, basis: SpaceBasis | None = None) -> HeckeMatrix
     A given weight-k cusp basis is used when it carries the n*(dim+1)+2
     coefficients T_n needs; otherwise one is built.
     """
+    if n < 1:
+        raise ValueError("operator index must be positive")
     d = dim_Sk(k)
     if d < 1:
         raise ValueError(f"weight {k} has no cusp forms")
@@ -197,6 +199,8 @@ def eigenbasis(k: int, prec: int | None = None) -> list[Eigenform]:
             f"no irreducibility certificate for weight {k} (tried {HECKE_INDICES}); "
             f"last status: {cert.status}"
         )
+    if prec <= n:
+        raise ValueError(f"prec must exceed {n}: a_{n} generates the Hecke field")
     field = NumberField(cp, certificate=cert)
     lam = field.gen()
     a = [

@@ -14,10 +14,11 @@ from .arith import divisors, factorize, iter_primes
 
 # ---------------------------------------------------------------------------
 # Dense kernels: ascending coefficient lists over any coefficient ring, using
-# only the coefficients' own +, -, * and /. Every series, polynomial and
-# number-field product, division, gcd and power in the package runs here;
-# only the F_p product, division and gcd below keep their own loops, which
-# reduce mod q at every step.
+# the coefficients' own +, -, * and /, except that a product over Q clears
+# denominators and runs on Python ints. Every series, polynomial and
+# number-field product, division, gcd and power in the package runs here, as
+# does every series inverse; only the F_p product, division and gcd below keep
+# their own loops, which reduce mod q at every step.
 # ---------------------------------------------------------------------------
 
 
@@ -35,12 +36,20 @@ def _dense_mul(a, b, zero, n=None):
     Zero coefficients of a are skipped (a is checked once per entry, b never),
     so the sparser operand belongs first. The result is not trimmed; it is
     empty when either operand is.
+
+    Over Q (a Fraction zero; entries Fraction or int) each operand is scaled
+    by the lcm of its denominators, the loop runs on the integer numerators,
+    and each output entry is one Fraction over the product of the two lcms.
     """
     if not a or not b:
         return []
     m = len(a) + len(b) - 1
     if n is not None:
         m = min(m, n)
+    if isinstance(zero, Fraction):
+        (na, da), (nb, db) = _cleared(a[:m]), _cleared(b[:m])
+        d = da * db
+        return [Fraction(c, d) for c in _dense_mul(na, nb, 0, m)]
     out = [zero] * m
     for i, x in enumerate(a[:m]):
         if x == 0:
@@ -48,6 +57,12 @@ def _dense_mul(a, b, zero, n=None):
         k = min(len(b), m - i)
         out[i : i + k] = [o + x * y for o, y in zip(out[i : i + k], b)]
     return out
+
+
+def _cleared(a):
+    """(integer numerators, lcm of the denominators) of rational entries a."""
+    d = math.lcm(*[x.denominator for x in a])
+    return [x.numerator * (d // x.denominator) for x in a], d
 
 
 def _dense_divmod(a, b):

@@ -88,20 +88,20 @@ class QSeries:
         return _binary_power(self, e, QSeries.constant(self.field, self.field.one(), self.prec))
 
     def inverse(self) -> "QSeries":
-        a0 = self.coeffs[0]
-        if a0 == 0:
+        """1/self by Newton iteration g <- g (2 - f g), doubling the correct terms
+        of g per step. Both products run in _dense_mul; 2 - f g is 1, then zeros
+        up to q^len(g), which the product skips as its first operand."""
+        f = self.coeffs
+        if f[0] == 0:
             raise ZeroDivisionError("not a unit: constant term is zero")
-        inv0 = 1 / a0
-        out = [inv0]
-        for n in range(1, self.prec):
-            s = self.field.zero()
-            for i in range(1, n + 1):
-                ai = self.coeffs[i]
-                if ai == 0:
-                    continue
-                s = s + ai * out[n - i]
-            out.append(-inv0 * s)
-        return QSeries(self.field, out, self.prec)
+        zero = self.field.zero()
+        g = [1 / f[0]]
+        while len(g) < self.prec:
+            m = min(2 * len(g), self.prec)
+            e = [-c for c in _dense_mul(f[:m], g, zero, m)]
+            e[0] += 2
+            g = _dense_mul(e, g, zero, m)
+        return QSeries(self.field, g, self.prec)
 
     def __truediv__(self, other: "QSeries") -> "QSeries":
         return self * other.inverse()

@@ -210,3 +210,23 @@ def test_options_only_on_subcommands_that_read_them(capsys):
             main([*argv, "--output", "json"])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_eigen_precision_below_the_hecke_index_is_a_usage_error(capsys):
+    # the weight-24 field is presented by a_2, so prec must hold q^2
+    for prec in ("1", "2"):
+        code, out, err = run_cli(capsys, "eigen", "24", "--prec", prec, "--output", "json")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: prec must exceed 2")
+    code, out, _ = run_cli(capsys, "eigen", "24", "--prec", "3", "--output", "json")
+    assert code == 0
+    assert json.loads(out)["forms"][0]["series"]["prec"] == 3
+
+
+def test_nonpositive_hecke_index_is_a_usage_error(capsys):
+    for index in ("0", "-2"):
+        code, out, err = run_cli(capsys, "hecke", index, "24", "--output", "json")
+        assert code == 2
+        assert out == ""
+        assert err == "error: operator index must be positive\n"

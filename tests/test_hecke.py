@@ -195,3 +195,9 @@ def test_eigenbasis_weight_118_is_certified():
     g = eigenbasis(118)[0]
     assert g.hecke_index == 2
     assert g.field.degree == dim_Sk(118)
+
+
+def test_hecke_matrix_rejects_nonpositive_index_before_building_a_basis():
+    for n in (0, -2):
+        with pytest.raises(ValueError, match="operator index must be positive"):
+            hecke_matrix(n, 24)

@@ -1,7 +1,10 @@
 """Differential tests of the dense kernels in modforms.polys against sympy.Poly
 over QQ, plus square-and-multiply against repeated multiplication, and of the
-row reduction in modforms.linalg against sympy.Matrix.rref."""
+row reduction in modforms.linalg against sympy.Matrix.rref. The integer path
+of the product over Q and the Newton series inverse are also checked against
+the Fraction loop and the coefficient recurrence they replaced."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -192,3 +195,120 @@ def test_kernel_vector_matches_sympy_nullspace(m):
     # the first free column gives sympy's first nullspace basis vector
     assert v == [row[0] for row in from_sympy_matrix(nullspace[0])]
 
+
+# ---------------------------------------------------------------------------
+# The product over Q on integer numerators, and the Newton series inverse
+# ---------------------------------------------------------------------------
+
+
+def fraction_loop_mul(a, b, n=None):
+    """The generic Fraction loop that _dense_mul ran over Q before clearing
+    denominators; kept as the oracle for the integer path."""
+    if not a or not b:
+        return []
+    m = len(a) + len(b) - 1
+    if n is not None:
+        m = min(m, n)
+    out = [Fraction(0)] * m
+    for i, x in enumerate(a[:m]):
+        if x == 0:
+            continue
+        for j, y in enumerate(b[: m - i]):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+# numerators up to about 10^40 over denominators up to about 10^6: coprime
+# primes (so the lcm grows), shared small factors, and arbitrary values
+big_denominators = st.one_of(
+    st.sampled_from([1, 2, 3, 4, 7, 12, 691, 3617, 43867, 999983, 10**6]),
+    st.integers(1, 10**6),
+)
+big_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.just(0),
+    st.integers(-(10**40), 10**40),
+    st.builds(Fraction, st.integers(-(10**40), 10**40), big_denominators),
+)
+big_operands = st.one_of(
+    st.lists(big_entries, min_size=0, max_size=12),
+    st.integers(1, 6).map(lambda k: [Fraction(0)] * k),
+    st.tuples(st.lists(big_entries, min_size=1, max_size=8), st.integers(1, 4)).map(
+        lambda t: t[0] + [0] * t[1]
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(big_operands, big_operands, st.data())
+def test_rational_dense_mul_matches_fraction_loop_and_sympy(a, b, data):
+    full = len(a) + len(b) - 1
+    n = data.draw(st.one_of(st.none(), st.integers(1, max(full, 1))))
+    out = _dense_mul(a, b, Fraction(0), n)
+    assert out == fraction_loop_mul(a, b, n)
+    for c in out:
+        assert type(c) is Fraction
+        assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
+    expected = from_sympy(to_sympy([Fraction(x) for x in a]) * to_sympy([Fraction(x) for x in b]))
+    assert _dense_trim(out) == _dense_trim(expected[: len(out)])
+
+
+def recurrence_inverse(f: QSeries) -> list:
+    """The coefficient recurrence that QSeries.inverse ran before Newton
+    iteration; kept as the oracle."""
+    inv0 = 1 / f.coeffs[0]
+    out = [inv0]
+    for n in range(1, f.prec):
+        s = f.field.zero()
+        for i in range(1, n + 1):
+            ai = f.coeffs[i]
+            if ai == 0:
+                continue
+            s = s + ai * out[n - i]
+        out.append(-inv0 * s)
+    return out
+
+
+def pentagonal(prec: int, a0) -> list:
+    """a0 * prod (1 - q^n) by Euler's pentagonal theorem: sparse, entries +-a0."""
+    coeffs = [0] * prec
+    m = 0
+    while m * (3 * m - 1) // 2 < prec:
+        for e in (m * (3 * m - 1) // 2, m * (3 * m + 1) // 2):
+            if e < prec:
+                coeffs[e] = (-1) ** m * a0
+        m += 1
+    return coeffs
+
+
+def check_inverse_against_recurrence(field, coeffs, precs):
+    oracle = recurrence_inverse(QSeries(field, coeffs, max(precs)))
+    for prec in precs:
+        assert QSeries(field, coeffs, prec).inverse().coeffs == oracle[:prec]
+
+
+@pytest.mark.parametrize("a0", [1, -1, 3, Fraction(7, 2)])
+def test_newton_inverse_matches_recurrence_over_qq(a0):
+    dense = [a0] + [Fraction((5 * i) % 11 - 5, i % 3 + 1) for i in range(1, 80)]
+    for coeffs in (pentagonal(80, a0), dense):
+        check_inverse_against_recurrence(QQ, coeffs, range(1, 81))
+
+
+def test_newton_inverse_matches_recurrence_over_a_quadratic_field():
+    K = NumberField(RatPoly([-5, 0, 1]))
+    a0 = K.element([Fraction(1, 2), Fraction(1, 2)])  # the golden ratio
+    dense = [a0] + [K.element([i % 3 - 1, Fraction(i % 4, 3)]) for i in range(1, 80)]
+    # every prec up to 17 and both sides of the doublings at 32 and 64; the
+    # doubling schedule itself does not depend on the field and is checked at
+    # every prec up to 80 over QQ
+    precs = [*range(1, 18), 31, 32, 33, 63, 64, 65, 80]
+    for coeffs in (pentagonal(80, K.gen()), dense):
+        check_inverse_against_recurrence(K, coeffs, precs)
+
+
+def test_newton_inverse_of_a_non_unit_raises():
+    K = NumberField(RatPoly([-5, 0, 1]))
+    for field in (QQ, K):
+        for prec in (1, 2, 9):
+            with pytest.raises(ZeroDivisionError):
+                QSeries(field, [0, 1, 1], prec).inverse()
