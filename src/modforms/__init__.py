@@ -87,8 +87,8 @@ from .zeros import (
     ArcZero,
     JAlgebraicityReport,
     MonomialExpansion,
+    SeriesEvaluator,
     algebraic_poly,
-    eval_series_at,
     expand_E12n,
     find_arc_zeros,
     jvalue_algebraicity_check,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -28,30 +27,9 @@ class CliError(Exception):
     pass
 
 
-def _default_prec(k: int) -> int:
-    return 10 * dim_Mk(k) + 10
-
-
-def _env_prec() -> int | None:
-    raw = os.environ.get("MODFORMS_PREC")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise CliError(f"MODFORMS_PREC must be an integer, got {raw!r}")
-    if value <= 0:
-        raise CliError("MODFORMS_PREC must be positive")
-    return value
-
-
-def _resolve_prec(args, k: int | None = None) -> int:
-    if args.prec is not None:
-        return args.prec
-    env = _env_prec()
-    if env is not None:
-        return env
-    return _default_prec(k) if k is not None else 60
+def _resolve_prec(args, k: int) -> int:
+    """--prec when given, else ten terms per dimension of M_k plus ten."""
+    return args.prec if args.prec is not None else 10 * dim_Mk(k) + 10
 
 
 def _parse_character(spec: str):

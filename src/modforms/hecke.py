@@ -12,7 +12,7 @@ from .dirichlet import DirichletCharacter
 from .forms import SpaceBasis, dim_Sk, miller_basis
 from .linalg import charpoly_rational, invert_rational, kernel_vector, mat_mul
 from .numfield import QQ, NumberField
-from .polys import IrreducibilityCertificate, RatPoly, poly_irreducible
+from .polys import IrreducibilityCertificate, RatPoly, clear_denominators, poly_irreducible
 from .qseries import QSeries
 
 
@@ -86,7 +86,7 @@ class HeckeMatrix:
 
     def as_json(self) -> dict:
         cp = charpoly(self)
-        den, ints = cp.clear_denominators()
+        den, ints = clear_denominators(cp.coeffs)
         return {
             "index": self.index,
             "weight": self.weight,

@@ -77,16 +77,12 @@ def verify_quadratic_identity(
     g: QSeries,
     a,
     b,
-    prec: int | None = None,
 ) -> IdentityReport:
-    """Exact coefficientwise check of h = a f^2 + b f g + g^2."""
+    """Exact coefficientwise check of h = a f^2 + b f g + g^2 to the common
+    precision of the three series."""
     if not (h.field == f.field == g.field):
         raise ValueError("series over different coefficient fields")
     depth = min(h.prec, f.prec, g.prec)
-    if prec is not None:
-        if prec > depth:
-            raise ValueError(f"requested precision {prec} exceeds available {depth}")
-        depth = prec
     residual = h - (f * f).scale(a) - (f * g).scale(b) - g * g
     for n in range(depth):
         if residual.coeff(n) != 0:
@@ -94,9 +90,10 @@ def verify_quadratic_identity(
     return IdentityReport(name, "verified", depth)
 
 
-def verify_ramanujan(prec: int = 200, congruence_range: int = 500) -> IdentityReport:
+def verify_ramanujan(prec: int = 200) -> IdentityReport:
     """E_12 - E_6^2 = (1008*756/691) Delta exactly, and the induced congruence
-    tau(n) = sigma_11(n) mod 691."""
+    tau(n) = sigma_11(n) mod 691 for n <= 500."""
+    congruence_range = 500
     e12 = eisenstein_level1(12, prec).series
     e6 = eisenstein_level1(6, prec).series
     dl = delta(max(prec, congruence_range + 1)).series
@@ -474,7 +471,7 @@ def verify_table1(prec: int = 30) -> IdentityReport:
 # Each verification target and its report at a requested precision, capped
 # per target; `verify_all` and the CLI's `verify` read this one table.
 VERIFY_TARGETS = {
-    "ramanujan": lambda prec: verify_ramanujan(min(prec, 200), congruence_range=500),
+    "ramanujan": lambda prec: verify_ramanujan(min(prec, 200)),
     "e24": lambda prec: verify_e24(min(prec, 80)),
     "e32": lambda prec: verify_e32(min(prec, 80)),
     "table1": lambda prec: verify_table1(30),

@@ -47,7 +47,7 @@ def _dense_mul(a, b, zero, n=None):
     if n is not None:
         m = min(m, n)
     if isinstance(zero, Fraction):
-        (na, da), (nb, db) = _cleared(a[:m]), _cleared(b[:m])
+        (da, na), (db, nb) = clear_denominators(a[:m]), clear_denominators(b[:m])
         d = da * db
         return [Fraction(c, d) for c in _dense_mul(na, nb, 0, m)]
     out = [zero] * m
@@ -59,10 +59,11 @@ def _dense_mul(a, b, zero, n=None):
     return out
 
 
-def _cleared(a):
-    """(integer numerators, lcm of the denominators) of rational entries a."""
+def clear_denominators(a) -> tuple[int, list[int]]:
+    """(d, ints) for rational entries a: d > 0 is the lcm of the denominators,
+    the least d with every d * x an integer, and ints holds those integers."""
     d = math.lcm(*[x.denominator for x in a])
-    return [x.numerator * (d // x.denominator) for x in a], d
+    return d, [x.numerator * (d // x.denominator) for x in a]
 
 
 def _dense_divmod(a, b):
@@ -206,14 +207,6 @@ class RatPoly:
             acc = acc * x + c
         return acc
 
-    def clear_denominators(self) -> tuple[int, list[int]]:
-        """Return (d, ints) with d > 0 minimal such that d * self has the given
-        integer coefficients."""
-        d = 1
-        for c in self.coeffs:
-            d = d * c.denominator // math.gcd(d, c.denominator)
-        return d, [int(c * d) for c in self.coeffs]
-
     def __repr__(self) -> str:
         if self.is_zero():
             return "RatPoly(0)"
@@ -287,8 +280,8 @@ def resultant(p: RatPoly, q: RatPoly) -> Fraction:
         return p.coeffs[0] ** dq
     if dq == 0:
         return q.coeffs[0] ** dp
-    ap, pi = p.clear_denominators()
-    aq, qi = q.clear_denominators()
+    ap, pi = clear_denominators(p.coeffs)
+    aq, qi = clear_denominators(q.coeffs)
     n = dp + dq
     rows = []
     prow = list(reversed(pi))
@@ -491,15 +484,15 @@ def _divisors_from_factorization(factors: dict[int, int]) -> list[int]:
     return sorted(out)
 
 
-def _rational_root_candidates(p: RatPoly, cap: int = 10**5) -> list[Fraction] | None:
+def _rational_root_candidates(p: RatPoly) -> list[Fraction] | None:
     """All rational-root candidates of an integer-cleared polynomial, or None
-    when the endpoint coefficients do not factor within the cap."""
-    _, ints = p.clear_denominators()
+    when the endpoint coefficients do not factor by trial division to 10^5."""
+    _, ints = clear_denominators(p.coeffs)
     c0, lead = ints[0], ints[-1]
     if c0 == 0:
         return [Fraction(0)]
-    f0 = factorize(abs(c0), trial_bound=cap, rho_iterations=0)
-    fl = factorize(abs(lead), trial_bound=cap, rho_iterations=0)
+    f0 = factorize(abs(c0), trial_bound=10**5, rho_iterations=0)
+    fl = factorize(abs(lead), trial_bound=10**5, rho_iterations=0)
     if not (f0.complete and fl.complete):
         return None
     nums = _divisors_from_factorization(f0.factors)
@@ -540,7 +533,7 @@ def poly_irreducible(p: RatPoly, prime_count: int = 30) -> IrreducibilityCertifi
     disc = discriminant(p)
     if d == 1:
         return IrreducibilityCertificate("irreducible", disc)
-    den, _ = p.clear_denominators()
+    den, _ = clear_denominators(p.coeffs)
     bad = den * p.lead.numerator * disc.numerator  # 0 when p is not squarefree
     patterns: dict[int, tuple[int, ...]] = {}
     if bad:

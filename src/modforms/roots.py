@@ -17,12 +17,9 @@ def _to_complex(c) -> complex:
     return complex(c)
 
 
-def aberth_roots(
-    coeffs,
-    tol: float = 1e-13,
-    max_iter: int = 500,
-) -> list[complex]:
-    """All complex roots of a polynomial given by ascending coefficients."""
+def aberth_roots(coeffs) -> list[complex]:
+    """All complex roots of a polynomial given by ascending coefficients, to a
+    relative step below 1e-13 or after 500 iterations."""
     cs = [_to_complex(c) for c in coeffs]
     while cs and abs(cs[-1]) == 0:
         cs.pop()
@@ -47,7 +44,7 @@ def aberth_roots(
         radius * cmath.exp(2j * cmath.pi * (i + 0.35 + 0.01 * rng.random()) / n)
         for i in range(n)
     ]
-    for _ in range(max_iter):
+    for _ in range(500):
         moved = 0.0
         new = list(zs)
         for i, z in enumerate(zs):
@@ -67,7 +64,7 @@ def aberth_roots(
             new[i] = z - corr
             moved = max(moved, abs(corr) / max(1.0, abs(z)))
         zs = new
-        if moved < tol:
+        if moved < 1e-13:
             break
     return sorted(zs, key=lambda z: (round(z.real, 10), round(z.imag, 10)))
 

@@ -142,15 +142,16 @@ def envelope(k: int, conductor: int = 1) -> float:
     )
 
 
-def conductor_cutoff(k: int, b_abs: float, cap: int = 10_000) -> int:
+def conductor_cutoff(k: int, b_abs: float) -> int:
     """Largest conductor l with envelope(k, l) >= |b| (0 when none); beyond it
-    the magnitude bound alone rules the coefficient equation out."""
+    the magnitude bound alone rules the coefficient equation out. Conductors
+    past 10,000 are an error."""
     if envelope(k, 1) < b_abs:
         return 0
     l = 1
-    while l <= cap and envelope(k, l + 1) >= b_abs:
+    while l <= 10_000 and envelope(k, l + 1) >= b_abs:
         l += 1
-    if l > cap:
+    if l > 10_000:
         raise ArithmeticError("conductor cutoff exceeded the hard cap")
     return l
 
@@ -225,23 +226,23 @@ def finiteness_scan(
     b: Fraction,
     k_max: int = 60,
     l_max: int = 10,
-    k_top: int = 200,
 ) -> FinitenessReport:
     """Exhibit the finiteness of the coefficient equation b + 2 beta = alpha.
 
-    k_bound is the largest k at which the magnitude envelope still allows a
-    solution (monotonicity of the envelope extends the exclusion beyond the
-    computed range); below it every primitive character cell inside the
-    conductor cutoff is enumerated and the relation is re-checked exactly.
+    k_bound is the largest k <= 200 at which the magnitude envelope still
+    allows a solution (monotonicity of the envelope, checked from 8 to 200,
+    extends the exclusion beyond); below it every primitive character cell
+    inside the conductor cutoff is enumerated and the relation is re-checked
+    exactly.
     """
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise ValueError("both coefficients must be nonzero")
     b_abs = abs(float(b))
-    envs = {k: envelope(k) for k in range(3, k_top + 1)}
+    envs = {k: envelope(k) for k in range(3, 201)}
     above = [k for k, v in envs.items() if v >= b_abs]
     k_bound = max(above) if above else 2
-    monotone = all(envs[k + 1] < envs[k] for k in range(8, k_top))
+    monotone = all(envs[k + 1] < envs[k] for k in range(8, 200))
     k_enum = min(k_bound, k_max)
     survivors: list[ScanCell] = []
     cells: list[ScanCell] = []
@@ -290,20 +291,44 @@ def finiteness_scan(
 
 @dataclass
 class MaedaReport:
+    """The discriminant and cycle-type flags read the certificate; the report
+    of a one-dimensional space has no certificate and every flag set."""
+
     weight: int
     dim: int
     hecke_index: int | None
     charpoly: RatPoly | None
     certificate: IrreducibilityCertificate | None
-    poly_disc: Fraction | None
     disc_squarefree: int | None
-    disc_square_root: int | None
     disc_factor_complete: bool
     quad_field_disc: int | None
-    patterns: dict[int, tuple[int, ...]]
-    has_full_cycle: bool
-    has_transposition: bool
-    has_single_odd_cycle: bool
+
+    @property
+    def poly_disc(self) -> Fraction | None:
+        return self.certificate.discriminant if self.certificate else None
+
+    @property
+    def patterns(self) -> dict[int, tuple[int, ...]]:
+        return self.certificate.patterns if self.certificate else {}
+
+    @property
+    def has_full_cycle(self) -> bool:
+        d = self.dim
+        return d <= 1 or any(pat == (d,) for pat in self.patterns.values())
+
+    @property
+    def has_transposition(self) -> bool:
+        d = self.dim
+        return d <= 1 or any(sorted(pat) == [1] * (d - 2) + [2] for pat in self.patterns.values())
+
+    @property
+    def has_single_odd_cycle(self) -> bool:
+        # a transposition generates the full group when d = 2, so the odd-cycle
+        # witness is vacuous there (and unobservable: patterns are (1,1) or (2))
+        return self.dim <= 2 or any(
+            sum(1 for x in pat if x > 1) == 1 and max(pat) % 2 == 1 and max(pat) > 1
+            for pat in self.patterns.values()
+        )
 
     @property
     def irreducible(self) -> bool:
@@ -345,23 +370,12 @@ def maeda_check(k: int) -> MaedaReport:
     if d < 1:
         raise ValueError(f"weight {k} has no cusp forms")
     if d == 1:
-        return MaedaReport(
-            k, 1, None, None, None, None, None, None, True, None, {}, True, True, True
-        )
+        return MaedaReport(k, 1, None, None, None, None, True, None)
     index, _, cp, cert = certified_charpoly(k)
-    disc, patterns = cert.discriminant, cert.patterns
-    full_cycle = any(pat == (d,) for pat in patterns.values())
-    transposition = any(
-        sorted(pat) == [1] * (d - 2) + [2] for pat in patterns.values()
-    )
-    # a transposition generates the full group when d = 2, so the odd-cycle
-    # witness is vacuous there (and unobservable: patterns are (1,1) or (2))
-    single_odd = d <= 2 or any(
-        sum(1 for x in pat if x > 1) == 1 and max(pat) % 2 == 1 and max(pat) > 1
-        for pat in patterns.values()
-    )
     # bounded caps: large higher-degree discriminants come back flagged partial
-    split = squarefree_kernel(disc.numerator, trial_bound=10**5, rho_iterations=20_000)
+    split = squarefree_kernel(
+        cert.discriminant.numerator, trial_bound=10**5, rho_iterations=20_000
+    )
     quad_disc = None
     if d == 2 and split.complete:
         quad_disc = quad_field_discriminant(split.squarefree)
@@ -371,15 +385,9 @@ def maeda_check(k: int) -> MaedaReport:
         index,
         cp,
         cert,
-        disc,
         split.squarefree if split.complete else None,
-        split.square_root if split.complete else None,
         split.complete,
         quad_disc,
-        patterns,
-        full_cycle,
-        transposition,
-        single_odd,
     )
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 
 import mpmath
 
@@ -24,6 +24,7 @@ from .roots import aberth_roots
 
 ARC_LOW = math.pi / 3
 ARC_HIGH = math.pi / 2
+DPS = 40  # decimal digits of every mpmath evaluation
 
 
 @dataclass(frozen=True)
@@ -37,20 +38,18 @@ class MonomialExpansion:
         return {"n": self.n, "coeffs": [str(c) for c in self.coeffs]}
 
 
-def expand_E12n(n: int, prec: int | None = None) -> MonomialExpansion:
+def expand_E12n(n: int) -> MonomialExpansion:
     """Iterated constant-term extraction of the monomial coefficients.
 
     Before step l the residual is sum_{j >= l} a_j E_12^(n-j) Delta^j, which
     is a_l q^l + O(q^(l+1)) because E_12 = 1 + O(q) and Delta = q + O(q^2);
     so a_l is its q^l coefficient. The final residual must vanish to the
-    working precision, which also catches a nonzero lower coefficient.
+    working precision of 4n + 20 terms, which also catches a nonzero lower
+    coefficient.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if prec is None:
-        prec = 4 * n + 20
-    if prec < n + 2:
-        raise ValueError(f"prec must be at least {n + 2}")
+    prec = 4 * n + 20
     e12 = eisenstein_level1(12, prec).series
     dl = delta(prec).series
     e12_pows = [QSeries.constant(e12.field, 1, prec)]
@@ -90,34 +89,33 @@ class SeriesEvaluator:
     """sum a_n q^n for a rational q-series, by Horner over mpf coefficients,
     with a bound on the dropped tail.
 
-    coeff_bound is A with |a_n| <= A n^(weight-1); the default |a_1|
-    zeta(weight-1) holds for the level-1 Eisenstein series, whose
-    a_n = a_1 sigma_{weight-1}(n), and for normalized eigenforms such as Delta.
+    The tail bound rests on |a_n| <= |a_1| zeta(weight-1) n^(weight-1), which
+    holds for the level-1 Eisenstein series, whose a_n = a_1 sigma_{weight-1}(n),
+    and for normalized eigenforms such as Delta; a series with a_1 = 0 has no
+    such bound and is refused.
     """
 
-    def __init__(
-        self, series: QSeries, weight: int, coeff_bound: float | None = None, dps: int = 40
-    ):
-        if coeff_bound is None:
-            a1 = series.coeff(1)
-            coeff_bound = abs(a1.numerator) / a1.denominator * _zeta_upper(weight - 1)
+    def __init__(self, series: QSeries, weight: int):
+        a1 = series.coeff(1)
+        if a1 == 0:
+            raise ValueError("no coefficient bound for a series with a_1 = 0")
         self.prec = series.prec
         self.exponent = weight - 1
-        self.coeff_bound = coeff_bound
-        self.dps = dps
-        with mpmath.workdps(dps):
+        self.coeff_bound = abs(a1.numerator) / a1.denominator * _zeta_upper(weight - 1)
+        with mpmath.workdps(DPS):
             self.coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(series.coeffs)]
 
     def __call__(self, q):
-        with mpmath.workdps(self.dps):
+        with mpmath.workdps(DPS):
             acc = mpmath.mpc(0)
             for c in self.coeffs:
                 acc = acc * q + c
             return acc
 
     def at(self, z):
-        """(value, tail bound) at q = exp(2 pi i z), for Im(z) >= 0.85."""
-        with mpmath.workdps(self.dps):
+        """(value, tail bound) at q = exp(2 pi i z), for Im(z) >= 0.85, where
+        |q| <= 0.00482 and the tail is controlled."""
+        with mpmath.workdps(DPS):
             z = mpmath.mpc(z)
             if z.imag < 0.85:
                 raise ValueError("evaluation restricted to Im(z) >= 0.85")
@@ -128,7 +126,7 @@ class SeriesEvaluator:
         """Bound on |sum_{n >= prec} a_n q^n| over |q| <= r, from
         (1 + j/P)^e <= exp(j e/P): a geometric series of ratio r exp(e/P)."""
         P, e = self.prec, self.exponent
-        with mpmath.workdps(self.dps):
+        with mpmath.workdps(DPS):
             r = mpmath.mpf(r)
             if r**P > mpmath.mpf("1e-30"):
                 raise ValueError(f"precision {P} too small: |q|^prec must be below 1e-30")
@@ -138,32 +136,16 @@ class SeriesEvaluator:
             return float(mpmath.mpf(self.coeff_bound) * mpmath.mpf(P) ** e * r**P / (1 - ratio))
 
 
-def eval_series_at(
-    series: QSeries,
-    z: complex,
-    weight: int,
-    coeff_bound: float | None = None,
-    dps: int = 40,
-):
-    """Evaluate sum a_n exp(2 pi i n z) with a reported tail bound.
-
-    The region is restricted to Im(z) >= 0.85 so that |q| <= 0.00482 and the
-    tail is controlled; see SeriesEvaluator for coeff_bound.
-    """
-    return SeriesEvaluator(series, weight, coeff_bound, dps).at(z)
+@cache
+def _e4_e6_evaluators() -> tuple[SeriesEvaluator, SeriesEvaluator]:
+    """E_4 and E_6 to 80 terms, built once for every zero jvalue_at visits."""
+    return tuple(SeriesEvaluator(eisenstein_level1(w, 80).series, w) for w in (4, 6))
 
 
-@lru_cache(maxsize=1)
-def _e4_e6_evaluators(prec: int, dps: int) -> tuple[SeriesEvaluator, SeriesEvaluator]:
-    """E_4 and E_6 to prec terms, built once for every zero jvalue_at visits;
-    its one caller, jvalue_algebraicity_check, keeps one (prec, dps) key."""
-    return tuple(SeriesEvaluator(eisenstein_level1(w, prec).series, w, dps=dps) for w in (4, 6))
-
-
-def jvalue_at(z, prec: int = 80, dps: int = 40):
+def jvalue_at(z):
     """j(z) = E_4(z)^3 / Delta(z) with Delta recovered from E_4 and E_6."""
-    with mpmath.workdps(dps):
-        e4, e6 = (evaluate.at(z)[0] for evaluate in _e4_e6_evaluators(prec, dps))
+    with mpmath.workdps(DPS):
+        e4, e6 = (evaluate.at(z)[0] for evaluate in _e4_e6_evaluators())
         dlt = (e4**3 - e6**2) / 1728
         return e4**3 / dlt
 
@@ -177,17 +159,15 @@ class ArcZero:
         return {"theta": f"{self.theta:.15f}", "residual": f"{self.residual:.3e}"}
 
 
-def arc_function(k: int, prec: int | None = None, dps: int = 40):
+def arc_function(k: int):
     """theta -> exp(ik theta/2) E_k(exp(i theta)), real on the arc."""
-    if prec is None:
-        prec = max(k + 10, 40)
-    evaluate = SeriesEvaluator(eisenstein_level1(k, prec).series, k, dps=dps)
-    with mpmath.workdps(dps):
+    evaluate = SeriesEvaluator(eisenstein_level1(k, max(k + 10, 40)).series, k)
+    with mpmath.workdps(DPS):
         # |q| is largest at the arc's low end, where Im(z) = sin(pi/3)
         tail = evaluate.tail_bound(mpmath.exp(-2 * mpmath.pi * mpmath.sin(mpmath.mpf(ARC_LOW))))
 
     def f(theta):
-        with mpmath.workdps(dps):
+        with mpmath.workdps(DPS):
             theta = mpmath.mpf(theta)
             q = mpmath.exp(2j * mpmath.pi * mpmath.exp(1j * theta))
             rotated = mpmath.exp(0.5j * k * theta) * evaluate(q)
@@ -198,19 +178,22 @@ def arc_function(k: int, prec: int | None = None, dps: int = 40):
     return f
 
 
-def find_arc_zeros(k: int, tol: float = 1e-12, dps: int = 40) -> list[ArcZero]:
+def find_arc_zeros(k: int, tol: float = 1e-12) -> list[ArcZero]:
     """Zeros of E_k on the arc, k a multiple of 12, by bisection between the
     points theta_m = 2 pi m / k, m = k/6 .. k/4.
 
     Rankin and Swinnerton-Dyer ("On the zeros of Eisenstein series", 1970)
     write the rotated form as 2 cos(k theta/2) + R with |R| < 2 on the arc,
     so its sign at theta_m is (-1)^m and each of the k/12 gaps holds exactly
-    one zero. Callers still check the count.
+    one zero. Callers still check the count. Bisection stops at width tol or
+    at the working precision, where the midpoint meets an endpoint.
     """
     if k % 12:
         raise ValueError("arc-zero search is defined for weights divisible by 12")
-    f = arc_function(k, dps=dps)
-    with mpmath.workdps(dps):
+    if not tol > 0:
+        raise ValueError(f"zero tolerance must be positive, got {tol}")
+    f = arc_function(k)
+    with mpmath.workdps(DPS):
         grid = [2 * mpmath.pi * m / k for m in range(k // 6, k // 4 + 1)]
         values = [f(t) for t in grid]
         zeros: list[ArcZero] = []
@@ -223,6 +206,8 @@ def find_arc_zeros(k: int, tol: float = 1e-12, dps: int = 40) -> list[ArcZero]:
             if fa * fb < 0:
                 while b - a > tol:
                     mid = (a + b) / 2
+                    if mid == a or mid == b:
+                        break
                     fm = f(mid)
                     if fm == 0:
                         a = b = mid
@@ -278,18 +263,17 @@ def jvalue_algebraicity_check(
     n: int,
     tol_match: float = 1e-8,
     tol_zero: float = 1e-12,
-    dps: int = 40,
 ) -> JAlgebraicityReport:
     """Match the j-values at the arc zeros of E_{12n} against the roots of the
     exact monomial polynomial shifted by 432000/691."""
     expansion = expand_E12n(n)
     poly = algebraic_poly(expansion)
-    zeros = find_arc_zeros(12 * n, tol=tol_zero, dps=dps)
-    with mpmath.workdps(dps):
+    zeros = find_arc_zeros(12 * n, tol=tol_zero)
+    with mpmath.workdps(DPS):
         jvals = []
         for z in zeros:
             zz = mpmath.exp(1j * mpmath.mpf(z.theta))
-            jvals.append(complex(jvalue_at(zz, dps=dps)))
+            jvals.append(complex(jvalue_at(zz)))
     shift = float(J_SHIFT)  # 432000/691, the exact j-shift constant
     roots = [complex(r) + shift for r in aberth_roots(poly.coeffs)]
     if len(zeros) != n or len(roots) != n:

@@ -65,7 +65,7 @@ def test_criterion_01_ramanujan():
         for n in range(1, 501):
             tau = dl.coeff(n)
             assert (tau.numerator - sigma(11, n)) % 691 == 0
-        assert verify_ramanujan(200, congruence_range=500).verified
+        assert verify_ramanujan(200).verified
 
     run_criterion(1, "ramanujan identity and congruence", 5, check)
 

@@ -40,7 +40,7 @@ def _sympy_irreducible(p: RatPoly) -> bool:
 def _direct_patterns(p: RatPoly, count: int) -> dict[int, tuple[int, ...]]:
     """factor_degrees_mod_p at the first count primes dividing no coefficient
     denominator, the leading numerator or the discriminant."""
-    den, _ = p.clear_denominators()
+    den, _ = polys.clear_denominators(p.coeffs)
     disc = discriminant(p)
     out: dict[int, tuple[int, ...]] = {}
     if disc == 0:

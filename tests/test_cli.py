@@ -148,14 +148,12 @@ def test_out_file(tmp_path, capsys):
     assert payload["reports"][0]["status"] == "verified"
 
 
-def test_env_prec_override(capsys, monkeypatch):
+def test_env_prec_is_ignored(capsys, monkeypatch):
+    # --prec is the one precision setting; weight 4 defaults to 10 dim M_4 + 10
     monkeypatch.setenv("MODFORMS_PREC", "3")
     code, out, _ = run_cli(capsys, "qexp", "E4", "--output", "json")
     assert code == 0
-    assert json.loads(out)["series"]["prec"] == 3
-    monkeypatch.setenv("MODFORMS_PREC", "bad")
-    code, _, err = run_cli(capsys, "qexp", "E4", "--output", "json")
-    assert code == 2
+    assert json.loads(out)["series"]["prec"] == 20
 
 
 def test_nonpositive_prec_is_a_usage_error(capsys):
@@ -182,15 +180,36 @@ def test_empty_maeda_range_is_a_usage_error(capsys):
     assert err.startswith("error:")
 
 
-def test_cli_import_does_not_load_numpy():
-    probe = "import sys, modforms.cli; print('numpy' in sys.modules)"
+def run_python(*args, timeout=60):
+    """A fresh interpreter on this checkout's sources; a hang fails the test."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout
     )
+
+
+def test_cli_import_does_not_load_numpy():
+    result = run_python("-c", "import sys, modforms.cli; print('numpy' in sys.modules)")
+    assert result.returncode == 0
     assert result.stdout.strip() == "False"
+
+
+def test_zero_tolerance_below_the_working_precision_finishes():
+    result = run_python(
+        "-m", "modforms.cli", "zeros", "1", "--tol-zero", "1e-60", "--output", "json"
+    )
+    assert result.returncode == 0
+    assert json.loads(result.stdout)["status"] == "verified"
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_nonpositive_zero_tolerance_is_a_usage_error(tol):
+    result = run_python("-m", "modforms.cli", "zeros", "1", "--tol-zero", tol, "--output", "json")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error:")
 
 
 def test_uncertified_hecke_field_is_an_error_exit(capsys, monkeypatch):

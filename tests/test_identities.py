@@ -26,7 +26,7 @@ from modforms.numfield import QQ
 
 
 def test_verify_ramanujan():
-    report = verify_ramanujan(100, congruence_range=120)
+    report = verify_ramanujan(100)
     assert report.verified
 
 

@@ -15,10 +15,10 @@ from modforms.roots import aberth_roots
 from modforms.zeros import (
     ARC_HIGH,
     ARC_LOW,
+    SeriesEvaluator,
     _pairing_distance,
     algebraic_poly,
     arc_function,
-    eval_series_at,
     expand_E12n,
     find_arc_zeros,
     jvalue_algebraicity_check,
@@ -41,7 +41,7 @@ def test_expand_n2_matches_weight24_identity():
 def test_expansion_exactness_gate():
     # the constructor itself asserts the residual vanishes; run it broadly
     for n in range(1, 7):
-        exp = expand_E12n(n, prec=4 * n + 20)
+        exp = expand_E12n(n)
         assert exp.coeffs[0] == 1
         assert all(isinstance(c, Fraction) for c in exp.coeffs)
 
@@ -79,26 +79,33 @@ def test_algebraic_poly():
     assert p2.coeffs[1] == E24_B and p2.coeffs[0] == E24_A
 
 
-def test_eval_series_at_delta_i():
-    value, tail = eval_series_at(delta(60).series, 1j, 12)
+def test_series_evaluator_delta_i():
+    value, tail = SeriesEvaluator(delta(60).series, 12).at(1j)
     assert tail < 1e-100
     assert abs(value.imag) < 1e-30
     # independent re-summation at two precisions
-    value2, _ = eval_series_at(delta(30).series, 1j, 12)
+    value2, _ = SeriesEvaluator(delta(30).series, 12).at(1j)
     assert abs(value - value2) < 1e-25
     assert abs(float(value.real) - 0.0017853698) < 1e-9
 
 
 def test_eval_series_region_guard():
     with pytest.raises(ValueError):
-        eval_series_at(delta(60).series, 0.5j, 12)
+        SeriesEvaluator(delta(60).series, 12).at(0.5j)
     with pytest.raises(ValueError):
-        eval_series_at(delta(10).series, 1j, 12)  # too few terms
+        SeriesEvaluator(delta(10).series, 12).at(1j)  # too few terms
 
 
 def test_e6_vanishes_at_i():
-    value, tail = eval_series_at(eisenstein_level1(6, 60).series, 1j, 6)
+    value, tail = SeriesEvaluator(eisenstein_level1(6, 60).series, 6).at(1j)
     assert abs(value) < 1e-25
+
+
+def test_series_without_a1_has_no_tail_bound():
+    # Delta^2 = q^2 + ...: the |a_1| zeta(w - 1) bound would read 0
+    dl = delta(60).series
+    with pytest.raises(ValueError):
+        SeriesEvaluator(dl * dl, 24)
 
 
 def test_j_at_i_is_1728():
@@ -156,11 +163,11 @@ def test_grid_costs_n_plus_one_evaluations(monkeypatch):
     assert len(calls) == (n + 1) + n * (steps + 1) < 300
 
 
-def _scan_arc_zeros(k, tol=1e-12, samples=2048, dps=40):
+def _scan_arc_zeros(k, tol=1e-12, samples=2048):
     """The former search, kept as the oracle: sign changes on a fixed grid of
     2048 steps over [pi/3, pi/2], then bisection."""
-    f = arc_function(k, dps=dps)
-    with mpmath.workdps(dps):
+    f = arc_function(k)
+    with mpmath.workdps(40):
         lo, hi = mpmath.mpf(ARC_LOW), mpmath.mpf(ARC_HIGH)
         step = (hi - lo) / samples
         grid = [lo + i * step for i in range(samples + 1)]
@@ -203,11 +210,34 @@ def test_zero_residuals_and_range():
     # the residual measures |F| at the midpoint; the theta interval is 1e-12
 
 
+def _arc_zero_at_80_digits(k, tol=1e-12):
+    """The former dps=80 search, kept as the oracle for weights with one arc
+    zero: the rotated E_k summed at 80 digits, bisected over [pi/3, pi/2]."""
+    coeffs = eisenstein_level1(k, max(k + 10, 40)).series.coeffs
+    with mpmath.workdps(80):
+        cs = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(coeffs)]
+
+        def f(theta):
+            q = mpmath.exp(2j * mpmath.pi * mpmath.exp(1j * theta))
+            return (mpmath.exp(0.5j * k * theta) * mpmath.polyval(cs, q)).real
+
+        a, b = mpmath.pi / 3, mpmath.pi / 2
+        fa = f(a)
+        while b - a > tol:
+            mid = (a + b) / 2
+            fm = f(mid)
+            if fa * fm < 0:
+                b = mid
+            else:
+                a, fa = mid, fm
+        return float((a + b) / 2)
+
+
 def test_zero_stability_under_higher_precision():
-    base = find_arc_zeros(12, dps=40)
-    finer = find_arc_zeros(12, dps=80)
-    assert len(base) == len(finer) == 1
-    assert abs(base[0].theta - finer[0].theta) < 1e-10
+    base = find_arc_zeros(12)
+    assert len(base) == 1
+    assert abs(base[0].theta - _arc_zero_at_80_digits(12)) < 1e-10
+
 
 
 def test_aberth_root_contract():
