@@ -13,7 +13,7 @@ import mpmath
 
 from .arith import divisors, factorize
 from .numfield import NumberField, NumberFieldElement, cyclotomic_field
-from .polys import RatPoly
+from .polys import RatPoly, clear_denominators
 
 
 # ---------------------------------------------------------------------------
@@ -287,22 +287,30 @@ def gen_bernoulli(k: int, chi: DirichletCharacter) -> NumberFieldElement:
     """Generalized Bernoulli number B_{k,chi} in Q(zeta_order(chi)).
 
     Closed form N^(k-1) * sum_a chi(a) B_k(a/N) over a = 0..N-1; for the
-    trivial character mod 1 this is the ordinary Bernoulli number.
+    trivial character mod 1 this is the ordinary Bernoulli number. For
+    B_k = sum_i c_i x^i the summand is chi(a) h(a) / (d N) with h = d sum_i
+    c_i N^(k-i) x^i integral: one integer Horner per a, one sum per chi(a).
     """
     if k < 1:
         raise ValueError("k must be positive")
     N = chi.modulus
     field = chi.value_field()
-    bk = bernoulli_polynomial(k)
-    total = field.zero()
-    for a in range(N) if N > 1 else (0,):
-        e = chi.exponent_of(a)
-        if e is None:
-            continue
-        val = bk.evaluate(Fraction(a, N))
-        if val:
-            total = total + field.zeta_pow(e) * val
-    return total * Fraction(N) ** (k - 1)
+    d, h = clear_denominators(
+        [c * N ** (k - i) for i, c in enumerate(bernoulli_polynomial(k).coeffs)]
+    )
+    sums: dict[int, int] = {}
+    for a in range(N):
+        if (e := chi.exponent_of(a)) is not None:
+            acc = 0
+            for c in reversed(h):
+                acc = acc * a + c
+            sums[e] = sums.get(e, 0) + acc
+    coords = [0] * field.degree
+    for e, total in sums.items():
+        # zeta^e has integer coordinates, since Phi_m is monic and integral
+        for j, c in enumerate(field.zeta_pow(e).coords):
+            coords[j] += total * c.numerator
+    return field.element([Fraction(c, d * N) for c in coords])
 
 
 def sigma_gen(

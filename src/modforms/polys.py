@@ -224,20 +224,38 @@ class RatPoly:
 
 
 def poly_xgcd(a: RatPoly, b: RatPoly) -> tuple[RatPoly, RatPoly, RatPoly]:
-    """Extended gcd in Q[x]: returns (g, u, v) with u*a + v*b = g, g monic."""
-    r0, r1 = a, b
-    u0, u1 = RatPoly([1]), RatPoly([])
-    v0, v1 = RatPoly([]), RatPoly([1])
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    if r0.is_zero():
-        return r0, u0, v0
-    lead = r0.lead
-    inv = 1 / lead
-    return r0 * inv, u0 * inv, v0 * inv
+    """Extended gcd in Q[x]: returns (g, u, v) with u*a + v*b = g, g monic, and
+    u = (a/g)^-1 mod b/g of least degree, as the Euclidean algorithm gives it."""
+    if b.is_zero():
+        return (a, RatPoly([1]), b) if a.is_zero() else (a.monic(), RatPoly([1 / a.lead]), b)
+    g = RatPoly([1])
+    u = _inverse_mod(a.coeffs, b.coeffs)
+    if u is None:  # a common factor
+        g = RatPoly(_dense_gcd(a.coeffs, b.coeffs))
+        u = _inverse_mod((a // g).coeffs, (b // g).coeffs)
+    u = RatPoly(u)
+    return g, u, (g - u * a) // b
+
+
+def _inverse_mod(a, b) -> list[Fraction] | None:
+    """a^-1 modulo b != 0 ([] when b is constant), or None when a and b share a
+    factor. Column j of the integer matrix M is x^j a mod b scaled by s L^j (s
+    clears a mod b, L leads the cleared b); Bareiss and a fraction-free back
+    substitution give w = D M^-1 e_0, D = det M, and u_j = s L^j w_j / D."""
+    d = len(b) - 1
+    s, col = clear_denominators(_dense_divmod(a, b)[1])
+    B = clear_denominators(b)[1]
+    cols = [col + [0] * (d - len(col))]
+    while len(cols) < d:
+        cols.append([B[-1] * x - cols[-1][-1] * y for x, y in zip([0] + cols[-1][:-1], B)])
+    rows = [[*row, int(i == 0)] for i, row in enumerate(zip(*cols))]
+    D, w = bareiss_det(rows), [0] * d
+    if D == 0:
+        return None
+    for k in reversed(range(d)):
+        row = rows[k]
+        w[k] = (D * row[d] - sum(x * y for x, y in zip(row[k + 1 : d], w[k + 1 :]))) // row[k]
+    return [Fraction(s * B[-1] ** j * x, D) for j, x in enumerate(w)]
 
 
 # ---------------------------------------------------------------------------
@@ -245,30 +263,26 @@ def poly_xgcd(a: RatPoly, b: RatPoly) -> tuple[RatPoly, RatPoly, RatPoly]:
 # ---------------------------------------------------------------------------
 
 
-def bareiss_det(rows: list[list[int]]) -> int:
-    """Fraction-free determinant of a square integer matrix."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [row[:] for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
+def bareiss_det(m: list[list[int]]) -> int:
+    """Determinant of the first len(m) columns of the integer rows m, by
+    fraction-free elimination in place; afterwards m is upper triangular
+    there, and the last pivot is the determinant of its swapped rows."""
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n):
         if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
+            i = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if i is None:
                 return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
+            m[k], m[i] = m[i], m[k]
+            sign = -sign
+        pivot, top = m[k][k], m[k][k + 1 :]
+        for row in m[k + 1 :]:
+            f = row[k]
+            row[k + 1 :] = [(x * pivot - f * y) // prev for x, y in zip(row[k + 1 :], top)]
+            row[k] = 0
         prev = pivot
-    return sign * m[n - 1][n - 1]
+    return sign * m[-1][n - 1] if n else 1
 
 
 def resultant(p: RatPoly, q: RatPoly) -> Fraction:
@@ -283,15 +297,9 @@ def resultant(p: RatPoly, q: RatPoly) -> Fraction:
     ap, pi = clear_denominators(p.coeffs)
     aq, qi = clear_denominators(q.coeffs)
     n = dp + dq
-    rows = []
-    prow = list(reversed(pi))
-    qrow = list(reversed(qi))
-    for i in range(dq):
-        rows.append([0] * i + prow + [0] * (n - dp - 1 - i))
-    for i in range(dp):
-        rows.append([0] * i + qrow + [0] * (n - dq - 1 - i))
-    det = bareiss_det(rows)
-    return Fraction(det) / (Fraction(ap) ** dq * Fraction(aq) ** dp)
+    rows = [[0] * i + pi[::-1] + [0] * (n - dp - 1 - i) for i in range(dq)]
+    rows += [[0] * i + qi[::-1] + [0] * (n - dq - 1 - i) for i in range(dp)]
+    return Fraction(bareiss_det(rows), ap**dq * aq**dp)
 
 
 def discriminant(p: RatPoly) -> Fraction:

@@ -18,7 +18,7 @@ import mpmath
 
 from .forms import delta, eisenstein_level1
 from .identities import J_SHIFT
-from .polys import RatPoly
+from .polys import RatPoly, clear_denominators
 from .qseries import QSeries
 from .roots import aberth_roots
 
@@ -86,8 +86,8 @@ def _zeta_upper(s: int) -> float:
 
 
 class SeriesEvaluator:
-    """sum a_n q^n for a rational q-series, by Horner over mpf coefficients,
-    with a bound on the dropped tail.
+    """sum a_n q^n for a rational q-series, by a fixed-point Horner on its
+    integer numerators, with a bound on the dropped tail.
 
     The tail bound rests on |a_n| <= |a_1| zeta(weight-1) n^(weight-1), which
     holds for the level-1 Eisenstein series, whose a_n = a_1 sigma_{weight-1}(n),
@@ -102,15 +102,22 @@ class SeriesEvaluator:
         self.prec = series.prec
         self.exponent = weight - 1
         self.coeff_bound = abs(a1.numerator) / a1.denominator * _zeta_upper(weight - 1)
-        with mpmath.workdps(DPS):
-            self.coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(series.coeffs)]
+        self.denominator, numerators = clear_denominators(series.coeffs)
+        self.valuation = 0 if numerators[0] else 1  # keeps a cusp form's error relative
+        self.numerators = numerators[self.valuation :]
 
     def __call__(self, q):
+        """The sum at q, |q| < 1, as an mpc at DPS digits: q is rounded to 20
+        bits past the working precision, and each Horner step floors once at
+        that scale, so the integer sum is off by under sqrt(2) / (1 - |q|)."""
         with mpmath.workdps(DPS):
-            acc = mpmath.mpc(0)
-            for c in self.coeffs:
-                acc = acc * q + c
-            return acc
+            q, bits = mpmath.mpmathify(q), mpmath.mp.prec + 20
+            with mpmath.workprec(bits + 2):  # nint is exact here, as |q| < 1
+                qr, qi = (int(mpmath.nint(mpmath.ldexp(x, bits))) for x in (q.real, q.imag))
+            re = im = 0
+            for c in reversed(self.numerators):
+                re, im = ((re * qr - im * qi) >> bits) + (c << bits), (re * qi + im * qr) >> bits
+            return mpmath.mpc(re, im) / (self.denominator << bits) * q**self.valuation
 
     def at(self, z):
         """(value, tail bound) at q = exp(2 pi i z), for Im(z) >= 0.85, where
@@ -266,6 +273,8 @@ def jvalue_algebraicity_check(
 ) -> JAlgebraicityReport:
     """Match the j-values at the arc zeros of E_{12n} against the roots of the
     exact monomial polynomial shifted by 432000/691."""
+    if not 0 < tol_match < math.inf:
+        raise ValueError(f"match tolerance must be positive and finite, got {tol_match}")
     expansion = expand_E12n(n)
     poly = algebraic_poly(expansion)
     zeros = find_arc_zeros(12 * n, tol=tol_zero)

@@ -212,6 +212,14 @@ def test_nonpositive_zero_tolerance_is_a_usage_error(tol):
     assert result.stderr.startswith("error:")
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_nonpositive_or_infinite_match_tolerance_is_a_usage_error(capsys, tol):
+    code, out, err = run_cli(capsys, "zeros", "1", "--tol-match", tol, "--output", "json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: match tolerance")
+
+
 def test_uncertified_hecke_field_is_an_error_exit(capsys, monkeypatch):
     cp = RatPoly([1, 0, 0, 0, 1])  # x^4 + 1 splits mod every prime: no certificate
     cert = poly_irreducible(cp)

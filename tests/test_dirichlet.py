@@ -40,6 +40,23 @@ def gen_bernoulli_series_oracle(kmax: int, chi) -> list:
     return [series.coeff(k) * fact[k] for k in range(kmax + 1)]
 
 
+def gen_bernoulli_fraction_horner(k: int, chi):
+    """The former closed-form evaluation, kept as the oracle: B_k(a/N) by a
+    Fraction Horner for each residue a, summed in the value field."""
+    N = chi.modulus
+    field = chi.value_field()
+    bk = bernoulli_polynomial(k)
+    total = field.zero()
+    for a in range(N) if N > 1 else (0,):
+        e = chi.exponent_of(a)
+        if e is None:
+            continue
+        val = bk.evaluate(Fraction(a, N))
+        if val:
+            total = total + field.zeta_pow(e) * val
+    return total * Fraction(N) ** (k - 1)
+
+
 def odd_character_mod4():
     return next(c for c in characters_mod(4) if c.parity() == -1)
 
@@ -124,6 +141,15 @@ def test_gen_bernoulli_matches_plain_bernoulli():
     triv = trivial_character(1)
     for k in range(2, 21):
         assert gen_bernoulli(k, triv).as_rational() == bernoulli_number(k)
+
+
+def test_gen_bernoulli_matches_fraction_horner():
+    # every character mod N, imprimitive ones included, at both parities of k
+    for N in range(1, 15):
+        for chi in characters_mod(N):
+            for k in (1, 2, 3, 4, 11, 12, 29, 30, 59, 60):
+                expected = gen_bernoulli_fraction_horner(k, chi)
+                assert gen_bernoulli(k, chi) == expected, (N, chi.exponents, k)
 
 
 def test_gen_bernoulli_k1_mod4():

@@ -1,10 +1,12 @@
 """Differential tests of the dense kernels in modforms.polys against sympy.Poly
 over QQ, plus square-and-multiply against repeated multiplication, and of the
 row reduction in modforms.linalg against sympy.Matrix.rref. The integer path
-of the product over Q and the Newton series inverse are also checked against
-the Fraction loop and the coefficient recurrence they replaced."""
+of the product over Q, the Newton series inverse and the Bareiss extended gcd
+are also checked against the Fraction loop, the coefficient recurrence and
+the Euclidean loop they replaced."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,8 +14,9 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from modforms.hecke import certified_charpoly
 from modforms.linalg import invert_rational, kernel_vector, row_reduce
-from modforms.numfield import QQ, NumberField
+from modforms.numfield import QQ, NumberField, cyclotomic_field
 from modforms.polys import (
     RatPoly,
     _binary_power,
@@ -21,6 +24,7 @@ from modforms.polys import (
     _dense_gcd,
     _dense_mul,
     _dense_trim,
+    poly_xgcd,
 )
 from modforms.qseries import QSeries
 
@@ -85,6 +89,61 @@ def test_dense_gcd_matches_sympy(a, b, common):
     assert g == from_sympy(sympy.gcd(to_sympy(a), to_sympy(b)))
     if g:
         assert g[-1] == 1
+
+
+def euclid_xgcd(a: RatPoly, b: RatPoly) -> tuple[RatPoly, RatPoly, RatPoly]:
+    """The former extended Euclidean loop over RatPoly, kept as the oracle."""
+    r0, r1 = a, b
+    u0, u1 = RatPoly([1]), RatPoly([])
+    v0, v1 = RatPoly([]), RatPoly([1])
+    while not r1.is_zero():
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, u0 - q * u1
+        v0, v1 = v1, v0 - q * v1
+    if r0.is_zero():
+        return r0, u0, v0
+    inv = 1 / r0.lead
+    return r0 * inv, u0 * inv, v0 * inv
+
+
+@settings(max_examples=200, deadline=None)
+@given(padded_coeffs, padded_coeffs, padded_coeffs)
+def test_poly_xgcd_matches_sympy_and_euclid(a, b, common):
+    # a common factor of positive degree makes the operands share a factor;
+    # zero, constant and zero-padded operands come from the strategy itself
+    common = _dense_trim(common)
+    if common:
+        a, b = _dense_mul(a, common, Fraction(0)), _dense_mul(b, common, Fraction(0))
+    expected_gcd = RatPoly(from_sympy(sympy.gcd(to_sympy(a), to_sympy(b))))
+    a, b = RatPoly(a), RatPoly(b)
+    g, u, v = poly_xgcd(a, b)
+    assert g == expected_gcd
+    assert u * a + v * b == g
+    # the least-degree pair; no such pair exists when a or b is zero or when
+    # a and b are both constant multiples of g
+    if not a.is_zero() and not b.is_zero() and max(a.degree, b.degree) > g.degree:
+        assert u.degree < b.degree - g.degree
+        assert v.degree < a.degree - g.degree
+    assert (g, u, v) == euclid_xgcd(a, b)
+
+
+def test_number_field_inverse_on_cyclotomic_and_hecke_fields():
+    rng = random.Random(30)
+    fields = [cyclotomic_field(m) for m in range(1, 31)]
+    _, _, cp, cert = certified_charpoly(96)
+    fields.append(NumberField(cp, cert))
+    for K in fields:
+        elements = [K.gen(), K.one() + K.gen()]
+        for _ in range(3):
+            coords = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(K.degree)]
+            elements.append(K.element(coords))
+        for x in elements:
+            if x.is_zero():
+                continue
+            inv = x.inverse()
+            assert x * inv == K.one()
+            assert inv == K.from_poly(euclid_xgcd(RatPoly(x.coords), K.modulus)[1].coeffs)
 
 
 def test_dense_divmod_by_zero_raises():

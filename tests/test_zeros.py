@@ -108,6 +108,61 @@ def test_series_without_a1_has_no_tail_bound():
         SeriesEvaluator(dl * dl, 24)
 
 
+def _horner_at_80_digits(series, q):
+    """sum a_n q^n by Horner over mpc at 80 digits, kept as the oracle."""
+    with mpmath.workdps(80):
+        acc = mpmath.mpc(0)
+        for c in reversed(series.coeffs):
+            acc = acc * q + mpmath.mpf(c.numerator) / c.denominator
+        return acc
+
+
+@pytest.mark.parametrize(
+    "name, weight, prec",
+    [("E4", 4, 80), ("E6", 6, 80), ("Delta", 12, 80)]
+    + [(f"E{12 * n}", 12 * n, max(12 * n + 10, 40)) for n in range(1, 21)],
+)
+def test_series_evaluator_matches_80_digit_horner(name, weight, prec):
+    series = delta(prec).series if name == "Delta" else eisenstein_level1(weight, prec).series
+    evaluate = SeriesEvaluator(series, weight)
+    off_arc = ((0, 0.85), (0.3, 0.9), (-0.5, 1.2), (0.1, 2), (0.25, 5))
+    with mpmath.workdps(zeros.DPS):
+        # points z = exp(i theta) on the arc, away from the zeros, then
+        # points off it with Im(z) >= 0.85
+        points = [mpmath.exp(1j * theta) for theta in (1.3, 1.44, 1.52)]
+        points += [mpmath.mpc(x, y) for x, y in off_arc]
+        qs = [mpmath.exp(2j * mpmath.pi * z) for z in points]
+    for z, q in zip(points, qs):
+        value = evaluate(q)
+        expected = _horner_at_80_digits(series, q)
+        with mpmath.workdps(80):
+            assert abs(value - expected) <= mpmath.mpf("1e-38") * abs(expected), (name, z)
+
+
+class _MpcHornerEvaluator(SeriesEvaluator):
+    """The former evaluator, kept as the oracle: Horner over mpc with every
+    coefficient rounded to DPS digits."""
+
+    def __init__(self, series, weight):
+        super().__init__(series, weight)
+        with mpmath.workdps(zeros.DPS):
+            self.coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(series.coeffs)]
+
+    def __call__(self, q):
+        with mpmath.workdps(zeros.DPS):
+            acc = mpmath.mpc(0)
+            for c in self.coeffs:
+                acc = acc * q + c
+            return acc
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_arc_zeros_match_the_mpc_evaluator(n, monkeypatch):
+    found = [(z.theta, z.as_json()) for z in find_arc_zeros(12 * n)]
+    monkeypatch.setattr(zeros, "SeriesEvaluator", _MpcHornerEvaluator)
+    assert found == [(z.theta, z.as_json()) for z in find_arc_zeros(12 * n)]
+
+
 def test_j_at_i_is_1728():
     value = jvalue_at(1j)
     assert abs(value - 1728) < 1e-20
