@@ -57,8 +57,11 @@ def _emit(args, payload: dict, text_renderer=None) -> None:
     else:
         out = text_renderer(payload) if text_renderer else json.dumps(payload, indent=2)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(out + "\n")
+        except OSError as exc:
+            raise CliError(f"cannot write {args.out!r}: {exc.strerror}")
     else:
         print(out)
 
@@ -71,11 +74,14 @@ def _emit(args, payload: dict, text_renderer=None) -> None:
 def cmd_qexp(args) -> int:
     name = args.form
     if name.startswith("EisNk:"):
-        psi_spec, phi_spec, t, k = name[len("EisNk:") :].split(",")
-        k = int(k)
+        try:
+            psi_spec, phi_spec, t, k = name[len("EisNk:") :].split(",")
+            t, k = int(t), int(k)
+        except ValueError:
+            raise CliError(f"form must look like EisNk:psi,phi,t,k, got {name!r}")
         prec = _resolve_prec(args, k)
         form = eisenstein_levelN(
-            _parse_character(psi_spec), _parse_character(phi_spec), int(t), k, prec
+            _parse_character(psi_spec), _parse_character(phi_spec), t, k, prec
         )
         _emit(args, form.as_json())
         return EXIT_OK

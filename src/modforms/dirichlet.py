@@ -342,16 +342,15 @@ def compositum_field(psi: DirichletCharacter, phi: DirichletCharacter) -> Number
 
 def abs_embed(x: NumberFieldElement | Fraction | int) -> float:
     """|x| under zeta_m -> exp(2 pi i / m), evaluated with working precision
-    sized to the coordinates (relative error well below 1e-12)."""
+    sized to the coordinates (relative error well below 1e-12): their largest
+    bit length plus 106 guard bits, at least what 30 guard digits give."""
     if isinstance(x, (int, Fraction)):
         return float(abs(Fraction(x)))
     m = x.parent.zeta_order
     if m is None:
         raise ValueError("absolute value is defined for cyclotomic elements")
-    digits = 1
-    for c in x.coords:
-        digits = max(digits, len(str(abs(c.numerator))), len(str(c.denominator)))
-    with mpmath.workdps(digits + 30):
+    bits = max(max(abs(c.numerator).bit_length(), c.denominator.bit_length()) for c in x.coords)
+    with mpmath.workprec(bits + 106):
         zeta = mpmath.exp(2j * mpmath.pi / m)
         acc = mpmath.mpc(0)
         for c in reversed(x.coords):

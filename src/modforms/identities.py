@@ -37,6 +37,7 @@ TABLE1_ROW1_CONST = Fraction(324204, 691)
 TABLE1_ROW1_CONST_REFERENCE = Fraction(32404, 691)
 TABLE1_ROW2_X_SHIFT = Fraction(20532)
 TABLE1_ROW2_X_DEN = Fraction(1728)
+TABLE1_PREC = 30  # the terms each Table 1 row is checked to
 
 TABLE2_FIELD_DISCS = {
     24: 144169,
@@ -383,7 +384,7 @@ def _sqrt_of_disc_part(K: NumberField) -> tuple[NumberFieldElement, int]:
     return root, d
 
 
-def verify_table1(prec: int = 30) -> IdentityReport:
+def verify_table1() -> IdentityReport:
     """Reconstruct both quadratic eigenform-square decomposition rows from the
     computed eigenbases and check the reference values.
 
@@ -397,8 +398,8 @@ def verify_table1(prec: int = 30) -> IdentityReport:
     def check_row(k: int, products: tuple[QSeries, QSeries], scales) -> tuple[bool, str]:
         """The row's series is sum_i scales(K, root)_i * products_i, with the
         products over Q and the scales in the Hecke field K."""
-        f = eigenbasis(k, prec=prec + 2)[0]
-        dec = decompose_square(f, prec=prec)
+        f = eigenbasis(k, prec=TABLE1_PREC + 2)[0]
+        dec = decompose_square(f, prec=TABLE1_PREC)
         K = dec.hecke_field
         root, d = _sqrt_of_disc_part(K)
         if d != TABLE1_DISCS[2 * k]:
@@ -411,12 +412,12 @@ def verify_table1(prec: int = 30) -> IdentityReport:
 
         g = dec.eigenform
         recon = reference_series(root)
-        for n in range(min(prec, recon.prec, g.prec)):
+        for n in range(min(TABLE1_PREC, recon.prec, g.prec)):
             if recon.coeff(n) != g.a(n):
                 return False, f"series reconstruction differs at q^{n}"
         sigma_g = galois_conjugate(g)
         recon_conj = reference_series(-root)
-        for n in range(min(prec, recon_conj.prec, sigma_g.prec)):
+        for n in range(min(TABLE1_PREC, recon_conj.prec, sigma_g.prec)):
             if recon_conj.coeff(n) != sigma_g.a(n):
                 return False, f"conjugate reconstruction differs at q^{n}"
         c1, c2 = dec.conjugate_pair()
@@ -436,8 +437,8 @@ def verify_table1(prec: int = 30) -> IdentityReport:
         )
         return True, f"c_1 = 1/(24*sqrt({d})), c_2 = -c_1"
 
-    e4, e6, e12 = (eisenstein_level1(w, prec).series for w in (4, 6, 12))
-    dl = delta(prec).series
+    e4, e6, e12 = (eisenstein_level1(w, TABLE1_PREC).series for w in (4, 6, 12))
+    dl = delta(TABLE1_PREC).series
 
     def row1_scales(K: NumberField, root: NumberFieldElement):
         """E12 Delta + (12 sqrt(D) + const) Delta^2"""
@@ -462,19 +463,20 @@ def verify_table1(prec: int = 30) -> IdentityReport:
     return IdentityReport(
         "table1",
         status,
-        prec,
+        TABLE1_PREC,
         detail=f"row1: {detail1}; row2: {detail2}",
         discrepancies=discrepancies,
     )
 
 
 # Each verification target and its report at a requested precision, capped
-# per target; `verify_all` and the CLI's `verify` read this one table.
+# per target (Table 1 is always checked to TABLE1_PREC terms); `verify_all`
+# and the CLI's `verify` read this one table.
 VERIFY_TARGETS = {
     "ramanujan": lambda prec: verify_ramanujan(min(prec, 200)),
     "e24": lambda prec: verify_e24(min(prec, 80)),
     "e32": lambda prec: verify_e32(min(prec, 80)),
-    "table1": lambda prec: verify_table1(30),
+    "table1": lambda prec: verify_table1(),
 }
 
 

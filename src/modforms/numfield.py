@@ -11,10 +11,12 @@ from .polys import (
     IrreducibilityCertificate,
     RatPoly,
     _binary_power,
+    _dense_divmod,
     _dense_mul,
     _dense_trim,
     _pdivmod,
     _pgcd,
+    clear_denominators,
     cyclotomic_polynomial,
     poly_irreducible,
     poly_xgcd,
@@ -46,7 +48,7 @@ QQ = RationalField()
 
 
 class NumberField:
-    """Q[x]/(modulus) for a monic irreducible modulus over Q."""
+    """Q[x]/(modulus) for a monic irreducible modulus with integer coefficients."""
 
     def __init__(
         self,
@@ -56,8 +58,8 @@ class NumberField:
     ):
         if modulus.degree < 1:
             raise ValueError("modulus must have degree >= 1")
-        if not modulus.is_monic():
-            raise ValueError("modulus must be monic")
+        if not modulus.is_monic() or not modulus.is_integral():
+            raise ValueError("modulus must be monic with integer coefficients")
         if not assume_irreducible:
             if certificate is None:
                 certificate = poly_irreducible(modulus)
@@ -67,19 +69,7 @@ class NumberField:
         self.certificate = certificate
         self.degree = modulus.degree
         self.zeta_order: int | None = None  # set by cyclotomic_field
-        d = self.degree
-        # coordinates of x^j for j = d .. 2d-2, used to reduce products
-        self._xpow = []
-        if d > 1:
-            cur = [-c for c in modulus.coeffs[:-1]]  # x^d
-            self._xpow.append(tuple(cur))
-            for _ in range(d - 2):
-                cur = [Fraction(0)] + cur
-                top = cur.pop()
-                if top:
-                    for i, c in enumerate(modulus.coeffs[:-1]):
-                        cur[i] -= top * c
-                self._xpow.append(tuple(cur))
+        self._int_modulus = [int(c) for c in modulus.coeffs]
         self._traces: tuple[Fraction, ...] | None = None
         self._zeta_pows: dict[int, "NumberFieldElement"] = {}
 
@@ -100,20 +90,15 @@ class NumberField:
         return NumberFieldElement(self, tuple(coords))
 
     def from_poly(self, coeffs: Sequence[Fraction | int]) -> "NumberFieldElement":
-        """Reduce an arbitrary polynomial in the generator modulo the modulus."""
-        coeffs = [Fraction(c) for c in coeffs]
-        d = self.degree
-        if d > 1 and len(coeffs) <= 2 * d - 1:
-            out = coeffs[:d] + [Fraction(0)] * max(0, d - len(coeffs))
-            for j in range(d, len(coeffs)):
-                c = coeffs[j]
-                if c == 0:
-                    continue
-                for i, r in enumerate(self._xpow[j - d]):
-                    out[i] += c * r
-            return NumberFieldElement(self, tuple(out))
-        rem = RatPoly(coeffs) % self.modulus
-        return self.element(rem.coeffs)
+        """Reduce a polynomial in the generator modulo the modulus."""
+        return self._reduce(*clear_denominators(coeffs))
+
+    def _reduce(self, den: int, ints: list[int]) -> "NumberFieldElement":
+        """The element (ints mod modulus) / den: the only reduction, on Python
+        ints, since the modulus is monic and integral."""
+        rem = _dense_divmod(ints, self._int_modulus)[1]
+        rem += [0] * (self.degree - len(rem))
+        return NumberFieldElement(self, tuple(Fraction(c, den) for c in rem))
 
     def zero(self) -> "NumberFieldElement":
         return self.element([])
@@ -231,7 +216,8 @@ class NumberFieldElement:
         if not isinstance(other, NumberFieldElement):
             return NotImplemented
         self._check(other)
-        return self.parent.from_poly(_dense_mul(self.coords, other.coords, Fraction(0)))
+        (da, a), (db, b) = clear_denominators(self.coords), clear_denominators(other.coords)
+        return self.parent._reduce(da * db, _dense_mul(a, b, 0))
 
     __rmul__ = __mul__
 
@@ -298,11 +284,9 @@ def embed_cyclotomic(x: NumberFieldElement, target: NumberField) -> NumberFieldE
     if x.parent == target:
         return x
     step = M // m
-    out = target.zero()
-    for j, c in enumerate(x.coords):
-        if c != 0:
-            out = out + target.zeta_pow(j * step) * c
-    return out
+    spread = [0] * ((x.parent.degree - 1) * step + 1)
+    spread[::step] = x.coords
+    return target.from_poly(spread)
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,12 @@ from .arith import divisors, factorize, iter_primes
 # ---------------------------------------------------------------------------
 # Dense kernels: ascending coefficient lists over any coefficient ring, using
 # the coefficients' own +, -, * and /, except that a product over Q clears
-# denominators and runs on Python ints. Every series, polynomial and
-# number-field product, division, gcd and power in the package runs here, as
-# does every series inverse; only the F_p product, division and gcd below keep
-# their own loops, which reduce mod q at every step.
+# denominators and runs on Python ints, and division by a monic polynomial
+# never divides. Every series, polynomial and number-field product, division,
+# gcd and power in the package runs here, as does every series inverse and
+# every reduction modulo a number field's modulus; only the F_p product,
+# division and gcd below keep their own loops, which reduce mod q at every
+# step.
 # ---------------------------------------------------------------------------
 
 
@@ -67,22 +69,24 @@ def clear_denominators(a) -> tuple[int, list[int]]:
 
 
 def _dense_divmod(a, b):
-    """Quotient and remainder of dense polynomials over a field, both trimmed;
-    b must be trimmed."""
+    """Quotient and remainder of dense polynomials, both trimmed; b must be
+    trimmed. A monic b divides over any ring, ints included, since each
+    quotient entry is then the leading remainder itself; any other b needs a
+    field."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     d = len(b) - 1
     rem = list(a)
     if len(rem) <= d:
         return [], _dense_trim(rem)
-    inv = 1 / b[-1]
+    inv = None if b[-1] == 1 else 1 / b[-1]
     quot = []  # filled from the top coefficient down
     for i in range(len(rem) - 1, d - 1, -1):
         c = rem[i]
         if c == 0:
             quot.append(c)
             continue
-        q = c * inv
+        q = c if inv is None else c * inv
         quot.append(q)
         rem[i - d : i + 1] = [r - q * y for r, y in zip(rem[i - d : i + 1], b)]
     quot.reverse()
@@ -185,9 +189,6 @@ class RatPoly:
 
     def __floordiv__(self, other: "RatPoly") -> "RatPoly":
         return divmod(self, other)[0]
-
-    def __mod__(self, other: "RatPoly") -> "RatPoly":
-        return divmod(self, other)[1]
 
     def __pow__(self, e: int) -> "RatPoly":
         return _binary_power(self, e, RatPoly([1]))

@@ -102,7 +102,7 @@ def test_criterion_03_e32_constants():
 
 def test_criterion_04_table1_rows():
     def check():
-        report = verify_table1(prec=30)
+        report = verify_table1()
         assert report.verified, report.detail
         # exact coefficient values: a_1 = -a_2 with a_1 = 1/(24 sqrt(D))
         for k, disc in ((12, 144169), (16, 18295489)):

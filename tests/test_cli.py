@@ -135,6 +135,10 @@ def test_error_exit_codes(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "qexp", "E5")
     assert code == 2
+    for form in ("EisNk:1:0", "EisNk:1:0,4:1,1", "EisNk:1:0,4:1,x,3"):
+        code, out, err = run_cli(capsys, "qexp", form, "--output", "json")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "EisNk:psi,phi,t,k" in err
 
 
 def test_out_file(tmp_path, capsys):
@@ -146,6 +150,16 @@ def test_out_file(tmp_path, capsys):
     assert out == ""
     payload = json.loads(target.read_text())
     assert payload["reports"][0]["status"] == "verified"
+
+
+def test_unwritable_out_file_is_a_usage_error(tmp_path, capsys):
+    # exit 1 is kept for a failed check; a file that cannot be written is usage
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "qexp", "E4", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write") and "Traceback" not in err
+    assert not target.exists()
 
 
 def test_env_prec_is_ignored(capsys, monkeypatch):

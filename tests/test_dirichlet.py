@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction
 
@@ -193,3 +194,7 @@ def test_abs_embed():
     C4 = cyclotomic_field(4)
     assert abs(abs_embed(C4.gen()) - 1.0) < 1e-12
     assert abs(abs_embed(C4.one() + C4.gen()) - 2**0.5) < 1e-12
+    # coordinates past the 4300-digit limit of int -> str conversion
+    big = 10**5000
+    x = cyclotomic_field(5).element([Fraction(big + 1, big), 0, 0, 1])  # 1 + zeta_5^3
+    assert abs(abs_embed(x) - abs(1 + cmath.exp(6j * math.pi / 5))) < 1e-12

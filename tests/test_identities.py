@@ -226,7 +226,7 @@ def test_trace_solution_matches_numeric_oracle():
 
 
 def test_verify_table1_status_and_discrepancies():
-    report = verify_table1(30)
+    report = verify_table1()
     assert report.verified
     entries = {d["entry"] for d in report.discrepancies}
     assert "row(k=12).series_constant" in entries

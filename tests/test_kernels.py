@@ -3,7 +3,8 @@ over QQ, plus square-and-multiply against repeated multiplication, and of the
 row reduction in modforms.linalg against sympy.Matrix.rref. The integer path
 of the product over Q, the Newton series inverse and the Bareiss extended gcd
 are also checked against the Fraction loop, the coefficient recurrence and
-the Euclidean loop they replaced."""
+the Euclidean loop they replaced, and the number-field reduction against
+sympy.rem and the former zeta-power embedding loop."""
 
 import math
 import random
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from modforms.hecke import certified_charpoly
 from modforms.linalg import invert_rational, kernel_vector, row_reduce
-from modforms.numfield import QQ, NumberField, cyclotomic_field
+from modforms.numfield import QQ, NumberField, cyclotomic_field, embed_cyclotomic
 from modforms.polys import (
     RatPoly,
     _binary_power,
@@ -128,12 +129,18 @@ def test_poly_xgcd_matches_sympy_and_euclid(a, b, common):
     assert (g, u, v) == euclid_xgcd(a, b)
 
 
+def reduction_fields() -> list[NumberField]:
+    """Q(zeta_m) for m <= 30 and the Hecke fields of four weights."""
+    fields = [cyclotomic_field(m) for m in range(1, 31)]
+    for k in (24, 36, 48, 96):
+        _, _, cp, cert = certified_charpoly(k)
+        fields.append(NumberField(cp, cert))
+    return fields
+
+
 def test_number_field_inverse_on_cyclotomic_and_hecke_fields():
     rng = random.Random(30)
-    fields = [cyclotomic_field(m) for m in range(1, 31)]
-    _, _, cp, cert = certified_charpoly(96)
-    fields.append(NumberField(cp, cert))
-    for K in fields:
+    for K in reduction_fields():
         elements = [K.gen(), K.one() + K.gen()]
         for _ in range(3):
             coords = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(K.degree)]
@@ -149,6 +156,60 @@ def test_number_field_inverse_on_cyclotomic_and_hecke_fields():
 def test_dense_divmod_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
         _dense_divmod([Fraction(1)], [])
+
+
+small_ints = st.lists(st.integers(-50, 50), min_size=0, max_size=9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_ints, small_ints)
+def test_dense_divmod_by_a_monic_int_divisor_stays_in_zz(a, b):
+    # a monic divisor needs no inverse, so ints divide over ZZ with no float
+    b = b + [1]
+    quot, rem = _dense_divmod(a, b)
+    assert all(type(c) is int for c in quot + rem)
+    zz = lambda c: sympy.Poly(list(reversed(c)) or [0], X, domain=sympy.ZZ)
+    sq, sr = sympy.div(zz(a), zz(b))
+    assert quot == _dense_trim([int(c) for c in reversed(sq.all_coeffs())])
+    assert rem == _dense_trim([int(c) for c in reversed(sr.all_coeffs())])
+
+
+def test_number_field_reduction_matches_sympy_rem():
+    rng = random.Random(9)
+    rand = lambda n: [Fraction(rng.randint(-99, 99), rng.randint(1, 30)) for _ in range(n)]
+    for K in reduction_fields():
+        d, modulus = K.degree, to_sympy(K.modulus.coeffs)
+        for n in range(3 * d + 2):  # polynomials of degree up to 3d
+            coeffs = rand(n)
+            expected = from_sympy(sympy.rem(to_sympy(coeffs), modulus))
+            assert K.from_poly(coeffs).coords == tuple(expected + [0] * (d - len(expected)))
+        for _ in range(4):
+            x, y = K.element(rand(d)), K.element(rand(d))
+            expected = from_sympy(sympy.rem(to_sympy(x.coords) * to_sympy(y.coords), modulus))
+            assert (x * y).coords == tuple(expected + [0] * (d - len(expected)))
+
+
+def zeta_pow_embedding(x, target):
+    """The former embed_cyclotomic loop, one zeta power per coordinate, kept
+    as the oracle."""
+    step = target.zeta_order // x.parent.zeta_order
+    out = target.zero()
+    for j, c in enumerate(x.coords):
+        if c != 0:
+            out = out + target.zeta_pow(j * step) * c
+    return out
+
+
+def test_embed_cyclotomic_matches_the_zeta_pow_loop():
+    rng = random.Random(12)
+    for M in range(1, 31):
+        target = cyclotomic_field(M)
+        for m in (m for m in range(1, M + 1) if M % m == 0):
+            source = cyclotomic_field(m)
+            for _ in range(3):
+                coords = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(source.degree)]
+                x = source.element(coords)
+                assert embed_cyclotomic(x, target) == zeta_pow_embedding(x, target)
 
 
 def _repeated(x, e, one):

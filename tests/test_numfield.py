@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from modforms.forms import dim_Sk
+from modforms.hecke import certified_charpoly
 from modforms.numfield import (
     NumberField,
     cyclotomic_field,
@@ -44,6 +46,16 @@ def test_construction_requires_certificate():
         NumberField(RatPoly([-1, 0, 1]))  # x^2 - 1 reducible
     with pytest.raises(ValueError):
         NumberField(RatPoly([-2, 0, 2]))  # not monic
+    with pytest.raises(ValueError, match="monic with integer coefficients"):
+        NumberField(RatPoly([Fraction(-5, 4), 0, 1]), assume_irreducible=True)  # not integral
+
+
+def test_hecke_charpolys_are_monic_integral_moduli():
+    weights = [k for k in range(12, 101, 2) if dim_Sk(k) >= 1] + [118, 132, 146, 160]
+    for k in weights:
+        _, _, cp, cert = certified_charpoly(k)
+        assert cp.is_monic() and cp.is_integral(), k
+        assert NumberField(cp, cert).degree == dim_Sk(k)
 
 
 def test_inverse_property_random_quadratic_fields():
