@@ -9,9 +9,8 @@ from fractions import Fraction
 from .arith import sigma, squarefree_kernel
 from .forms import delta, dim_Sk, eisenstein_level1
 from .hecke import Eigenform, eigenbasis, galois_conjugate
-from .linalg import invert_rational
+from .linalg import invert_rational, row_reduce
 from .numfield import QQ, NumberField, NumberFieldElement
-from .polys import _dense_divmod, _dense_gcd, _dense_mul, _dense_trim
 from .qseries import QSeries
 
 # Reference constants the verification suite reproduces (exact rationals).
@@ -120,6 +119,8 @@ def verify_ramanujan(prec: int = 200) -> IdentityReport:
 def _solve_product_identity(h: QSeries, f: QSeries, g: QSeries) -> tuple[Fraction, Fraction]:
     """Solve h = a f^2 + b f g + g^2 for (a, b) from the q^1 and q^2 rows,
     assuming f = q + O(q^2) and g = 1 + O(q)."""
+    if min(h.prec, f.prec, g.prec) < 3:
+        raise ValueError("solving for (a, b) reads q^2: precision must be at least 3")
     assert f.coeff(0) == 0 and f.coeff(1) == 1 and g.coeff(0) == 1
     fg = f * g
     gg = g * g
@@ -181,12 +182,14 @@ def verify_e32(prec: int = 80) -> IdentityReport:
 # With g one eigenform over K = Q[x]/(T) and its conjugates implicit, the
 # decomposition series = sum_i c_i g_i collapses to a linear system over the
 # base field F1 of the input series: writing c in L = F1[x]/(T), the
-# coefficient rows become Tr(c * a_n(g)) = a_n(series), and the system matrix
-# M[n][j] = Tr(x^j a_n(g)) is rational. M factors as (a_n(g_i)) times an
-# invertible Vandermonde in the roots of T, so det M != 0 certifies the
-# nonsingularity of the eigenvalue matrix itself. The i-th coefficient is
-# c_i = sigma_i(c); the number of vanishing ones equals deg gcd(c(x), T(x))
-# over F1.
+# coefficient rows become Tr(c * a_n(g)) = a_n(series). With t_l = Tr(x^l),
+# the rational matrix M[n][j] = Tr(x^j a_n(g)) = sum_i a_n(g)_i t_(i+j) factors
+# as (a_n(g_i)) times an invertible Vandermonde in the roots of T, so
+# det M != 0 certifies the nonsingularity of the eigenvalue matrix itself.
+# The i-th coefficient is c_i = sigma_i(c); deg gcd(c(x), T(x)) over F1 of
+# them vanish. T is separable, so d2 - deg gcd(c, T) is the rank of the form
+# (u, w) -> Tr(c u w) on L, whose matrix is the Hankel matrix of
+# s_l = Tr(c x^l) = sum_m c_m t_(m+l).
 
 
 @dataclass
@@ -233,6 +236,15 @@ class EigenDecomposition:
         }
 
 
+def _weighted_sum(elems, weights, zero):
+    """sum_i elems[i] * weights[i] for field elements and rational weights."""
+    acc = zero
+    for e, w in zip(elems, weights):
+        if w != 0:
+            acc = acc + e * w
+    return acc
+
+
 def decompose_in_eigenbasis(
     series: QSeries,
     weight: int,
@@ -263,41 +275,26 @@ def decompose_in_eigenbasis(
         )
 
     K = g.field
-    gen_pows = [K.one()]
-    for _ in range(1, d2):
-        gen_pows.append(gen_pows[-1] * K.gen())
-    matrix = [
-        [K.trace(g.a(n + 1) * gen_pows[j]) for j in range(d2)] for n in range(d2)
+    t = K.power_traces(3 * d2 - 2)
+    # rows[n][j] = Tr(x^j a_n(g)): rows 1..d2 are the system, every row the check
+    rows = [
+        [_weighted_sum(g.a(n).coords, t[j : j + d2], Fraction(0)) for j in range(d2)]
+        for n in range(prec)
     ]
     try:
-        minv = invert_rational(matrix)
+        minv = invert_rational(rows[1 : d2 + 1])
     except ValueError:
         raise ArithmeticError(
             "valence-formula violation: eigenvalue coefficient matrix is singular"
         ) from None
     rhs = [series.coeff(n + 1) for n in range(d2)]
-    coords = []
-    for j in range(d2):
-        acc = base.zero()
-        for n in range(d2):
-            x = minv[j][n]
-            if x != 0:
-                acc = acc + rhs[n] * x
-        coords.append(acc)
-
-    traces = K.power_traces()
-    t_base = [base.coerce(c) for c in K.modulus.coeffs]
-    c_poly = _dense_trim(coords)
+    coords = [_weighted_sum(rhs, minv[j], base.zero()) for j in range(d2)]
     for n in range(prec):
-        an_base = _dense_trim([base.coerce(x) for x in g.a(n).coords])
-        rem = _dense_divmod(_dense_mul(c_poly, an_base, base.zero()), t_base)[1]
-        tr = base.zero()
-        for i, w in enumerate(rem):
-            if w != 0:
-                tr = tr + w * traces[i]
-        if tr != series.coeff(n):
+        if _weighted_sum(coords, rows[n], base.zero()) != series.coeff(n):
             raise ArithmeticError(f"decomposition fails at coefficient {n}")
-    vanishing = len(_dense_gcd(c_poly, t_base)) - 1
+    s = [_weighted_sum(coords, t[l : l + d2], base.zero()) for l in range(2 * d2 - 1)]
+    hankel = [s[u : u + d2] for u in range(d2)]
+    vanishing = d2 - len(row_reduce(hankel, base.zero(), base.one()))
     return EigenDecomposition(source, weight, base, K, tuple(coords), d2, vanishing, prec, g)
 
 

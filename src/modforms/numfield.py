@@ -70,7 +70,6 @@ class NumberField:
         self.degree = modulus.degree
         self.zeta_order: int | None = None  # set by cyclotomic_field
         self._int_modulus = [int(c) for c in modulus.coeffs]
-        self._traces: tuple[Fraction, ...] | None = None
         self._zeta_pows: dict[int, "NumberFieldElement"] = {}
 
     def __eq__(self, other) -> bool:
@@ -118,23 +117,18 @@ class NumberField:
             raise ValueError("element of a different number field")
         return self.element([Fraction(x)])
 
-    def power_traces(self) -> tuple[Fraction, ...]:
-        """Traces of 1, x, ..., x^(d-1), by Newton's identities on the modulus."""
-        if self._traces is None:
-            d = self.degree
-            c = self.modulus.coeffs  # monic, ascending
-            p = [Fraction(d)]
-            for j in range(1, d):
-                s = -j * c[d - j]
-                for i in range(1, j):
-                    s -= c[d - i] * p[j - i]
-                p.append(s)
-            self._traces = tuple(p)
-        return self._traces
-
-    def trace(self, el: "NumberFieldElement") -> Fraction:
-        t = self.power_traces()
-        return sum((ci * ti for ci, ti in zip(el.coords, t)), Fraction(0))
+    def power_traces(self, count: int) -> tuple[int, ...]:
+        """Traces of 1, x, ..., x^(count-1), by Newton's identities on the
+        modulus; past the degree d the recurrence runs on the last d traces.
+        They are integers, since the modulus is monic and integral."""
+        d, c = self.degree, self._int_modulus
+        p = [d]
+        for j in range(1, count):
+            s = -j * c[d - j] if j <= d else 0
+            for i in range(1, min(j, d + 1)):
+                s -= c[d - i] * p[j - i]
+            p.append(s)
+        return tuple(p[:count])
 
     def conjugate_quadratic(self, el: "NumberFieldElement") -> "NumberFieldElement":
         """The nontrivial conjugate x -> trace(x) - x, degree-2 fields only."""

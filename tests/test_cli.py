@@ -179,6 +179,24 @@ def test_nonpositive_prec_is_a_usage_error(capsys):
             assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("prec", ["1", "2"])
+@pytest.mark.parametrize("target", ["e24", "e32", "all"])
+def test_verify_below_the_solve_precision_is_a_usage_error(capsys, target, prec):
+    # the product identities solve for (a, b) from the q^1 and q^2 rows
+    code, out, err = run_cli(capsys, "verify", target, "--prec", prec, "--output", "json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "q^2" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("prec", ["1", "2"])
+@pytest.mark.parametrize("target", ["ramanujan", "table1"])
+def test_verify_targets_without_a_solve_run_at_low_precision(capsys, target, prec):
+    code, out, _ = run_cli(capsys, "verify", target, "--prec", prec, "--output", "json")
+    assert code == 0
+    assert [r["status"] for r in json.loads(out)["reports"]] == ["verified"]
+
+
 def test_seed_option_is_gone(capsys):
     # the root finder starts from one fixed circle; --seed is no longer an option
     with pytest.raises(SystemExit) as exc:

@@ -198,3 +198,20 @@ def test_abs_embed():
     big = 10**5000
     x = cyclotomic_field(5).element([Fraction(big + 1, big), 0, 0, 1])  # 1 + zeta_5^3
     assert abs(abs_embed(x) - abs(1 + cmath.exp(6j * math.pi / 5))) < 1e-12
+
+
+def test_abs_embed_relative_error_under_cancellation():
+    # phi = 1 + zeta_5 + zeta_5^4 is the golden ratio, and F(n + 1) - F(n) phi
+    # = (-1/phi)^n: 63 digits cancel between coordinates of 63 digits
+    import mpmath
+
+    C5 = cyclotomic_field(5)
+    phi = C5.one() + C5.gen() + C5.zeta_pow(4)
+    fib = [0, 1]
+    while len(fib) < 302:
+        fib.append(fib[-1] + fib[-2])
+    x = fib[301] - phi * fib[300]
+    with mpmath.workdps(60):
+        exact = float(((1 + mpmath.sqrt(5)) / 2) ** -300)
+    assert abs(abs_embed(x) / exact - 1) < 1e-12
+    assert abs_embed(C5.zero()) == 0.0

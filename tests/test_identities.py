@@ -23,6 +23,7 @@ from modforms.identities import (
     verify_table1,
 )
 from modforms.numfield import QQ
+from modforms.polys import _dense_gcd
 
 
 def test_verify_ramanujan():
@@ -161,6 +162,41 @@ def test_nonvanishing_reports():
         assert rep.all_nonzero, k
         assert rep.vanishing_count == 0
         assert rep.dim == dim_Sk(2 * k)
+
+
+def _euclid_vanishing_count(dec) -> int:
+    """The former count, deg gcd(c(x), T(x)) by Euclid over the base field."""
+    base = dec.base_field
+    t_base = [base.coerce(c) for c in dec.hecke_field.modulus.coeffs]
+    return len(_dense_gcd(list(dec.coords), t_base)) - 1
+
+
+@pytest.mark.parametrize("weight", [24, 28, 36, 48, 60])
+def test_eigenform_against_its_own_weight(weight):
+    """g = 1 * g + 0 * (each other conjugate): over the base K the coefficient
+    vector has exactly d2 - 1 vanishing entries."""
+    d2 = dim_Sk(weight)
+    g = eigenbasis(weight, prec=3 * d2 + 5)[0]
+    dec = decompose_in_eigenbasis(g.series, weight)
+    assert dec.base_field == g.field == dec.hecke_field
+    assert dec.vanishing_count == d2 - 1 == _euclid_vanishing_count(dec)
+    assert not dec.all_nonzero
+
+
+def test_zero_cusp_series_vanishes_everywhere():
+    g = eigenbasis(36, prec=14)[0]
+    zero = (g.series - g.series).truncate(14)
+    dec = decompose_in_eigenbasis(zero, 36)
+    assert all(c == 0 for c in dec.coords)
+    assert dec.vanishing_count == dim_Sk(36) == _euclid_vanishing_count(dec)
+
+
+@pytest.mark.parametrize("k", [k for k in range(12, 51, 2) if dim_Sk(k)])
+def test_vanishing_count_matches_euclid(k):
+    """The Hankel rank count against the Euclidean gcd degree over the base
+    field, on the square of the weight-k eigenform in weight 2k."""
+    dec = decompose_square(eigenbasis(k, prec=3 * dim_Sk(2 * k) + 5)[0])
+    assert dec.vanishing_count == _euclid_vanishing_count(dec)
 
 
 def test_trace_solution_matches_numeric_oracle():

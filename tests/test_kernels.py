@@ -3,8 +3,9 @@ over QQ, plus square-and-multiply against repeated multiplication, and of the
 row reduction in modforms.linalg against sympy.Matrix.rref. The integer path
 of the product over Q, the Newton series inverse and the Bareiss extended gcd
 are also checked against the Fraction loop, the coefficient recurrence and
-the Euclidean loop they replaced, and the number-field reduction against
-sympy.rem and the former zeta-power embedding loop."""
+the Euclidean loop they replaced, the number-field reduction against
+sympy.rem and the former zeta-power embedding loop, and the Sylvester
+resultant and discriminant against sympy."""
 
 import math
 import random
@@ -14,6 +15,7 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy.polys.subresultants_qq_zz import res_q
 
 from modforms.hecke import certified_charpoly
 from modforms.linalg import invert_rational, kernel_vector, row_reduce
@@ -25,7 +27,9 @@ from modforms.polys import (
     _dense_gcd,
     _dense_mul,
     _dense_trim,
+    discriminant,
     poly_xgcd,
+    resultant,
 )
 from modforms.qseries import QSeries
 
@@ -36,6 +40,18 @@ small_fractions = st.fractions(min_value=-7, max_value=7, max_denominator=5)
 padded_coeffs = st.tuples(
     st.lists(small_fractions, min_size=0, max_size=7), st.integers(0, 3)
 ).map(lambda t: t[0] + [Fraction(0)] * t[1])
+
+
+# rational or integer polynomials of degree at most 8 (or zero), with zero
+# constant terms (powers of x) and trailing zero padding
+sylvester_coeffs = st.tuples(
+    st.integers(0, 3),
+    st.one_of(
+        st.lists(small_fractions, min_size=0, max_size=9),
+        st.lists(st.integers(-30, 30).map(Fraction), min_size=0, max_size=9),
+    ),
+    st.integers(0, 3),
+).map(lambda t: ([Fraction(0)] * t[0] + t[1])[:9] + [Fraction(0)] * t[2])
 
 
 def to_sympy(coeffs) -> sympy.Poly:
@@ -432,3 +448,37 @@ def test_newton_inverse_of_a_non_unit_raises():
         for prec in (1, 2, 9):
             with pytest.raises(ZeroDivisionError):
                 QSeries(field, [0, 1, 1], prec).inverse()
+
+
+def sympy_fraction(value) -> Fraction:
+    value = sympy.Rational(value)
+    return Fraction(int(value.p), int(value.q))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sylvester_coeffs, sylvester_coeffs)
+def test_resultant_matches_sympy(a, b):
+    """Against sympy's subresultant PRS over Q. sympy.resultant itself is not
+    the oracle: it drops a sign when the second operand has a zero constant
+    term (sympy 1.14 gives resultant(x + 1, x**3) = 1; the Sylvester
+    determinant is -1)."""
+    p, q = RatPoly(a), RatPoly(b)
+    if p.is_zero() or q.is_zero():
+        expected = Fraction(0)  # sympy.resultant's convention; res_q raises
+    else:
+        expected = sympy_fraction(res_q(to_sympy(a).as_expr(), to_sympy(b).as_expr(), X))
+    assert resultant(p, q) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(sylvester_coeffs, sylvester_coeffs, st.booleans())
+def test_discriminant_matches_sympy(a, c, square):
+    # a squared factor makes vanishing discriminants common rather than rare
+    if square:
+        a = _dense_mul(a[:5], _dense_mul(c[:3], c[:3], Fraction(0)), Fraction(0))
+    p = RatPoly(a)
+    if p.degree < 1:
+        with pytest.raises(ValueError):
+            discriminant(p)
+        return
+    assert discriminant(p) == sympy_fraction(sympy.discriminant(to_sympy(a)))

@@ -85,17 +85,38 @@ def test_mul_commutative_associative():
 
 def test_power_traces_quadratic():
     K = NumberField(RatPoly([-20468736, -1080, 1]))
-    assert K.power_traces() == (Fraction(2), Fraction(1080))
-    x = K.gen()
-    assert K.trace(x) == 1080
-    assert K.trace(x * x) == 1080 * 1080 + 2 * 20468736
+    assert K.power_traces(2) == (Fraction(2), Fraction(1080))
+    # Tr(x) and Tr(x^2) = (sum of roots)^2 - 2 * (product of roots)
+    assert K.power_traces(3)[1] == 1080
+    assert K.power_traces(3)[2] == 1080 * 1080 + 2 * 20468736
 
 
 def test_power_traces_cubic_newton():
     # x^3 - 2: power sums of the three cube roots of 2 are 3, 0, 0
-    assert NumberField(RatPoly([-2, 0, 0, 1])).power_traces() == (3, 0, 0)
+    assert NumberField(RatPoly([-2, 0, 0, 1])).power_traces(3) == (3, 0, 0)
     # x^3 - x - 1: e1 = 0, e2 = -1 so p2 = e1^2 - 2 e2 = 2
-    assert NumberField(RatPoly([-1, -1, 0, 1])).power_traces() == (3, 0, 2)
+    assert NumberField(RatPoly([-1, -1, 0, 1])).power_traces(3) == (3, 0, 2)
+
+
+def test_power_traces_past_the_degree():
+    # x^3 - 2: Tr(x^(3m)) = 3 * 2^m, the other powers have trace 0
+    K = NumberField(RatPoly([-2, 0, 0, 1]))
+    assert K.power_traces(10) == (3, 0, 0, 6, 0, 0, 12, 0, 0, 24)
+    # x^3 - x - 1: p_j = p_(j-2) + p_(j-3), the Perrin sequence
+    K = NumberField(RatPoly([-1, -1, 0, 1]))
+    assert K.power_traces(12) == (3, 0, 2, 3, 2, 5, 5, 7, 10, 12, 17, 22)
+
+
+def test_power_traces_match_the_trace_of_the_power():
+    """Tr(x^l) from Newton's recurrence against the trace of the matrix of
+    multiplication by x^l, read column by column from the field product."""
+    K = NumberField(RatPoly([7, -3, 0, 5, 1]))
+    d = K.degree
+    x, power = K.gen(), K.one()
+    for l, t in enumerate(K.power_traces(3 * d)):
+        basis = [K.element([0] * i + [1]) for i in range(d)]
+        assert sum((power * b).coords[i] for i, b in enumerate(basis)) == t, l
+        power = power * x
 
 
 def test_conjugate_quadratic():
