@@ -45,9 +45,8 @@ def iter_primes() -> Iterator[int]:
 
 
 def _pollard_brent(n: int, seed: int = 1, max_iter: int = DEFAULT_RHO_ITERATIONS) -> int | None:
-    """Brent-cycle Pollard rho; returns a nontrivial factor or None on cap."""
-    if n % 2 == 0:
-        return 2
+    """Brent-cycle Pollard rho on an odd composite n; returns a nontrivial
+    factor or None on cap."""
     y, c, m = (seed % (n - 1)) + 1, (seed % (n - 3)) + 1, 128
     g, r, q = 1, 1, 1
     x = ys = y

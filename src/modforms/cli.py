@@ -178,6 +178,8 @@ def cmd_zeros(args) -> int:
 
 
 def cmd_maeda(args) -> int:
+    if args.range and args.weight is not None:
+        raise CliError("give a weight or --range, not both")
     if args.range:
         try:
             lo, hi = (int(x) for x in args.range.split(".."))
@@ -217,6 +219,10 @@ def cmd_bounds(args) -> int:
         for chi in characters_mod(modulus):
             if chi.is_primitive() and chi.parity() == (-1) ** k:
                 checks.append(scans.bernoulli_bound_check(k, chi))
+    if not checks:
+        raise CliError(
+            f"weight {k}: no primitive character mod {args.conductors} has parity (-1)^{k}"
+        )
     payload = {
         "weight": k,
         "checks": [c.as_json() for c in checks],
@@ -312,10 +318,7 @@ def main(argv=None) -> int:
         if prec is not None and prec <= 0:
             raise CliError("--prec must be positive")
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, ZeroDivisionError, ArithmeticError) as exc:
+    except (CliError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -73,13 +73,9 @@ class UnitGroup:
         generators = []
         orders = []
         for pe, g, order in components:
+            # x = g mod pe, x = 1 mod rest (pow(pe, -1, 1) is 0)
             rest = N // pe
-            if rest == 1:
-                lifted = g % N
-            else:
-                # x = g mod pe, x = 1 mod rest
-                inv = pow(pe, -1, rest)
-                lifted = (g + pe * ((1 - g) * inv % rest)) % N
+            lifted = (g + pe * ((1 - g) * pow(pe, -1, rest) % rest)) % N
             generators.append(lifted)
             orders.append(order)
         self.generators = tuple(generators)
@@ -97,8 +93,6 @@ class UnitGroup:
     def dlog(self, n: int) -> tuple[int, ...] | None:
         """Exponent tuple of a unit, or None when gcd(n, N) > 1."""
         n %= self.N
-        if self.N == 1:
-            return ()
         if math.gcd(n, self.N) != 1:
             return None
         return self._dlog[n]
@@ -141,7 +135,7 @@ class DirichletCharacter:
 
     def parity(self) -> int:
         """chi(-1), always +1 or -1."""
-        e = self.exponent_of(self.modulus - 1 if self.modulus > 1 else 1)
+        e = self.exponent_of(-1)
         if e == 0:
             return 1
         assert 2 * e == self.order

@@ -59,8 +59,6 @@ def dim_Mk(k: int) -> int:
 
 def dim_Sk(k: int) -> int:
     """Dimension of the weight-k cusp subspace."""
-    if k < 4:
-        return 0
     return max(dim_Mk(k) - 1, 0)
 
 
@@ -128,9 +126,6 @@ def miller_basis(k: int, prec: int | None = None, cusp_only: bool = False) -> Sp
         prec = 10 * d + 10
     if prec <= d:
         raise ValueError(f"prec must exceed the dimension {d} to echelonize")
-    if k == 0:
-        one = ModularForm(0, 1, trivial_character(1), QSeries(QQ, [1], prec), "M0.0")
-        return SpaceBasis(0, cusp_only, () if cusp_only else (one,), prec)
     e4 = eisenstein_level1(4, prec).series
     e6 = eisenstein_level1(6, prec).series
     dl = delta(prec).series

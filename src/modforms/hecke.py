@@ -10,8 +10,8 @@ from fractions import Fraction
 from .arith import divisors
 from .dirichlet import DirichletCharacter
 from .forms import SpaceBasis, dim_Sk, miller_basis
-from .linalg import charpoly_rational, invert_rational, kernel_vector, mat_mul
-from .numfield import QQ, NumberField
+from .linalg import charpoly_rational, invert_rational, kernel_vector, mat_mul, weighted_sum
+from .numfield import QQ, NumberField, field_json
 from .polys import IrreducibilityCertificate, RatPoly, clear_denominators, poly_irreducible
 from .qseries import QSeries
 
@@ -31,8 +31,8 @@ def hecke_action(
     """Apply T_m to a q-expansion of weight k.
 
     Coefficientwise: the n-th output is the sum over m1 | gcd(m, n) of
-    chi(m1) m1^(k-1) a_{mn/m1^2}, with the usual constant-term rule. The
-    input must carry at least m*(prec-1)+1 coefficients.
+    chi(m1) m1^(k-1) a_{mn/m1^2}, for every n >= 0 (at n = 0, gcd(m, 0) = m).
+    The input must carry at least m*(prec-1)+1 coefficients.
     """
     if m < 1:
         raise ValueError("operator index must be positive")
@@ -53,17 +53,7 @@ def hecke_action(
         return chi.value_in(field, n)
 
     out = []
-    const = field.zero()
-    a0 = series.coeff(0)
-    if a0 != 0:
-        s = field.zero()
-        for m1 in divisors(m):
-            v = chi_val(m1)
-            if v != 0:
-                s = s + v * Fraction(m1) ** (k - 1)
-        const = a0 * s
-    out.append(const)
-    for n in range(1, prec):
+    for n in range(prec):
         s = field.zero()
         for m1 in divisors(math.gcd(m, n)):
             v = chi_val(m1)
@@ -161,14 +151,10 @@ class Eigenform:
         return self.series.prec
 
     def as_json(self) -> dict:
-        if isinstance(self.field, NumberField):
-            field_desc = {"modulus": [str(c) for c in self.field.modulus.coeffs]}
-        else:
-            field_desc = "Q"
         return {
             "weight": self.weight,
             "label": self.label,
-            "field": field_desc,
+            "field": field_json(self.field),
             "series": self.series.as_json(),
         }
 
@@ -187,8 +173,7 @@ def eigenbasis(k: int, prec: int | None = None) -> list[Eigenform]:
         prec = max(3 * d + 5, 12)
     basis = miller_basis(k, max(prec, 3 * d + 5), cusp_only=True)
     if d == 1:
-        series = basis.forms[0].series.truncate(prec) if basis.prec > prec else basis.forms[0].series
-        return [Eigenform(k, QQ, series, f"S{k}.a")]
+        return [Eigenform(k, QQ, basis.forms[0].series.truncate(prec), f"S{k}.a")]
     n, matrix, cp, cert = certified_charpoly(k, basis)
     if cert.is_reducible:
         raise UnsupportedHeckeField(
@@ -212,14 +197,10 @@ def eigenbasis(k: int, prec: int | None = None) -> list[Eigenform]:
         raise ArithmeticError("eigenvector has vanishing first coefficient")
     inv = v[0].inverse()
     v = [inv * x for x in v]
-    coeffs = []
-    for r in range(prec):
-        acc = field.zero()
-        for j, form in enumerate(basis.forms):
-            c = form.series.coeff(r)
-            if c != 0:
-                acc = acc + v[j] * c
-        coeffs.append(acc)
+    coeffs = [
+        weighted_sum(v, [form.series.coeff(r) for form in basis.forms], field.zero())
+        for r in range(prec)
+    ]
     g = Eigenform(k, field, QSeries(field, coeffs, prec), f"S{k}.a", hecke_index=n)
     assert g.a(n) == lam
     assert cp.evaluate(lam) == field.zero()
@@ -241,9 +222,8 @@ def hecke_matrix_power_basis(n: int, k: int) -> list[list[Fraction]]:
     j = 1..dim; requires 4 | k. Entries land in Z, which is asserted."""
     if k % 4:
         raise ValueError("the power basis needs 4 | k")
-    d = dim_Sk(k)
-    if d < 1:
-        raise ValueError(f"weight {k} has no cusp forms")
+    m = hecke_matrix(n, k)
+    d = m.dim
     from .forms import delta, eisenstein_level1
 
     prec = n * (d + 1) + 2
@@ -255,7 +235,6 @@ def hecke_matrix_power_basis(n: int, k: int) -> list[list[Fraction]]:
         monos.append(dpow * e4 ** ((k - 12 * j) // 4))
         dpow = dpow * dl
     p = [[monos[j].coeff(i + 1) for j in range(d)] for i in range(d)]
-    m = hecke_matrix(n, k)
     result = mat_mul(mat_mul(invert_rational(p), [list(r) for r in m.entries]), p)
     for row in result:
         for x in row:

@@ -9,8 +9,8 @@ from fractions import Fraction
 from .arith import sigma, squarefree_kernel
 from .forms import delta, dim_Sk, eisenstein_level1
 from .hecke import Eigenform, eigenbasis, galois_conjugate
-from .linalg import invert_rational, row_reduce
-from .numfield import QQ, NumberField, NumberFieldElement
+from .linalg import invert_rational, row_reduce, weighted_sum
+from .numfield import QQ, NumberField, NumberFieldElement, field_json
 from .qseries import QSeries
 
 # Reference constants the verification suite reproduces (exact rationals).
@@ -218,14 +218,10 @@ class EigenDecomposition:
         return c, self.hecke_field.conjugate_quadratic(c)
 
     def as_json(self) -> dict:
-        if isinstance(self.hecke_field, NumberField):
-            field_desc = {"modulus": [str(c) for c in self.hecke_field.modulus.coeffs]}
-        else:
-            field_desc = "Q"
         return {
             "source": self.source,
             "weight": self.weight,
-            "hecke_field": field_desc,
+            "hecke_field": field_json(self.hecke_field),
             "coords": [
                 [str(x) for x in c.coords] if isinstance(c, NumberFieldElement) else str(c)
                 for c in self.coords
@@ -234,15 +230,6 @@ class EigenDecomposition:
             "vanishing_count": self.vanishing_count,
             "verified_prec": self.verified_prec,
         }
-
-
-def _weighted_sum(elems, weights, zero):
-    """sum_i elems[i] * weights[i] for field elements and rational weights."""
-    acc = zero
-    for e, w in zip(elems, weights):
-        if w != 0:
-            acc = acc + e * w
-    return acc
 
 
 def decompose_in_eigenbasis(
@@ -278,7 +265,7 @@ def decompose_in_eigenbasis(
     t = K.power_traces(3 * d2 - 2)
     # rows[n][j] = Tr(x^j a_n(g)): rows 1..d2 are the system, every row the check
     rows = [
-        [_weighted_sum(g.a(n).coords, t[j : j + d2], Fraction(0)) for j in range(d2)]
+        [weighted_sum(g.a(n).coords, t[j : j + d2], Fraction(0)) for j in range(d2)]
         for n in range(prec)
     ]
     try:
@@ -288,11 +275,11 @@ def decompose_in_eigenbasis(
             "valence-formula violation: eigenvalue coefficient matrix is singular"
         ) from None
     rhs = [series.coeff(n + 1) for n in range(d2)]
-    coords = [_weighted_sum(rhs, minv[j], base.zero()) for j in range(d2)]
+    coords = [weighted_sum(rhs, minv[j], base.zero()) for j in range(d2)]
     for n in range(prec):
-        if _weighted_sum(coords, rows[n], base.zero()) != series.coeff(n):
+        if weighted_sum(coords, rows[n], base.zero()) != series.coeff(n):
             raise ArithmeticError(f"decomposition fails at coefficient {n}")
-    s = [_weighted_sum(coords, t[l : l + d2], base.zero()) for l in range(2 * d2 - 1)]
+    s = [weighted_sum(coords, t[l : l + d2], base.zero()) for l in range(2 * d2 - 1)]
     hankel = [s[u : u + d2] for u in range(d2)]
     vanishing = d2 - len(row_reduce(hankel, base.zero(), base.one()))
     return EigenDecomposition(source, weight, base, K, tuple(coords), d2, vanishing, prec, g)

@@ -17,6 +17,16 @@ def mat_mul(a, b):
     ]
 
 
+def weighted_sum(elems, weights, zero):
+    """sum_i elems[i] * weights[i] for field elements and rational weights,
+    skipping zero weights."""
+    acc = zero
+    for e, w in zip(elems, weights):
+        if w != 0:
+            acc = acc + e * w
+    return acc
+
+
 def mat_identity(n: int):
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 

@@ -106,9 +106,7 @@ class NumberField:
         return self.element([1])
 
     def gen(self) -> "NumberFieldElement":
-        if self.degree == 1:
-            return self.element([-self.modulus.coeffs[0]])
-        return self.element([0, 1])
+        return self.from_poly([0, 1])
 
     def coerce(self, x) -> "NumberFieldElement":
         if isinstance(x, NumberFieldElement):
@@ -255,10 +253,14 @@ class NumberFieldElement:
         return f"NFE{list(self.coords)}"
 
     def as_json(self) -> dict:
-        return {
-            "modulus": [str(c) for c in self.parent.modulus.coeffs],
-            "coords": [str(c) for c in self.coords],
-        }
+        return {**field_json(self.parent), "coords": [str(c) for c in self.coords]}
+
+
+def field_json(field) -> str | dict:
+    """JSON description of a coefficient field: "Q", or a number field's modulus."""
+    if isinstance(field, NumberField):
+        return {"modulus": [str(c) for c in field.modulus.coeffs]}
+    return "Q"
 
 
 @lru_cache(maxsize=None)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from .numfield import NumberField
+from .numfield import NumberField, field_json
 from .polys import _binary_power, _dense_mul
 
 
@@ -118,9 +118,7 @@ class QSeries:
 
     def shift(self, j: int) -> "QSeries":
         """Multiply by q^j; for j < 0 the dropped coefficients must vanish."""
-        if j == 0:
-            return self
-        if j > 0:
+        if j >= 0:
             zero = self.field.zero()
             return QSeries(self.field, [zero] * j + self.coeffs, self.prec + j)
         if any(c != 0 for c in self.coeffs[:-j]):
@@ -153,9 +151,7 @@ class QSeries:
 
     def as_json(self) -> dict:
         if isinstance(self.field, NumberField):
-            field_desc = {"modulus": [str(c) for c in self.field.modulus.coeffs]}
             coeffs = [[str(x) for x in c.coords] for c in self.coeffs]
         else:
-            field_desc = "Q"
             coeffs = [str(c) for c in self.coeffs]
-        return {"prec": self.prec, "field": field_desc, "coeffs": coeffs}
+        return {"prec": self.prec, "field": field_json(self.field), "coeffs": coeffs}

@@ -89,10 +89,17 @@ def bernoulli_bound_check(k: int, chi: DirichletCharacter) -> BoundCheck:
         raise ValueError("character must be primitive")
     if chi.parity() != (-1) ** k:
         raise ValueError("parity mismatch: the Bernoulli value vanishes")
-    val = abs_embed(gen_bernoulli(k, chi))
     l = chi.conductor()
-    lower = bernoulli_lower_bound(k, l)
-    upper = bernoulli_upper_bound(k, l)
+    try:
+        lower = bernoulli_lower_bound(k, l)
+        upper = bernoulli_upper_bound(k, l)
+    except OverflowError:
+        upper = math.inf
+    if math.isinf(upper):
+        raise ValueError(
+            f"the sandwich bounds for weight {k} at conductor {l} exceed the double range"
+        )
+    val = abs_embed(gen_bernoulli(k, chi))
     # at conductor 1 the upper bound is an exact equality, so comparisons get
     # the stated embedding-error budget
     slack = 1e-11

@@ -212,6 +212,29 @@ def test_empty_maeda_range_is_a_usage_error(capsys):
     assert err.startswith("error:")
 
 
+def test_maeda_weight_with_range_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "maeda", "12", "--range", "12..14", "--output", "json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("weight, conductors", [("3", "1"), ("4", "3")])
+def test_bounds_without_a_matching_character_is_a_usage_error(capsys, weight, conductors):
+    code, out, err = run_cli(capsys, "bounds", weight, conductors, "--output", "json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: weight {weight}:") and f" mod {conductors} " in err
+
+
+@pytest.mark.parametrize("weight, conductors", [("260", "1"), ("261", "3"), ("200", "13")])
+def test_bounds_past_the_double_range_is_a_usage_error(capsys, weight, conductors):
+    code, out, err = run_cli(capsys, "bounds", weight, conductors, "--output", "json")
+    assert code == 2
+    assert out == ""
+    assert f"weight {weight}" in err and "exceed the double range" in err
+
+
 def run_python(*args, timeout=60):
     """A fresh interpreter on this checkout's sources; a hang fails the test."""
     env = dict(os.environ)

@@ -112,6 +112,7 @@ def test_conductor_examples():
 def test_parity():
     assert trivial_character(1).parity() == 1
     assert odd_character_mod4().parity() == -1
+    assert [chi.parity() for chi in characters_mod(1) + characters_mod(2)] == [1, 1]
     for N in range(1, 20):
         for chi in characters_mod(N):
             K = chi.value_field()

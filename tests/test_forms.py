@@ -105,6 +105,7 @@ def test_dimensions():
     assert dim_Mk(2) == 0
     assert dim_Sk(10) == 0
     assert dim_Mk(-4) == 0
+    assert [dim_Sk(k) for k in (-4, 0, 1, 2, 3, 4)] == [0] * 6
 
 
 def test_dim_matches_monomial_count():

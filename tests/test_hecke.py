@@ -145,6 +145,17 @@ def test_eisenstein_constant_term_relation():
             lam = image.coeff(1) / series.coeff(1)
             assert image.coeff(0) == lam * series.coeff(0)
             assert image.coeff(0) == sum(d ** (k - 1) for d in divisors(m))
+    # composite m under a non-real character: values in Q(i) (order 4 mod 5,
+    # odd, k = 3) and Q(zeta_5) (order 5 mod 11, even, k = 4)
+    for modulus, order, k in ((5, 4, 3), (11, 5, 4)):
+        phi = next(c for c in characters_mod(modulus) if c.order == order)
+        form = eisenstein_levelN(trivial_character(1), phi, 1, k, 19)
+        K, chi, a0 = form.series.field, form.character, form.coeff(0)
+        assert K.zeta_order == order and not a0.is_zero()
+        for m in (4, 6, 9):
+            image = hecke_action(form.series, m, k, chi=chi, prec=2)
+            expected = sum((chi.value_in(K, d) * d ** (k - 1) for d in divisors(m)), K.zero())
+            assert image.coeff(0) == expected * a0
 
 
 def test_eisenstein_levelN_eigenvalue():

@@ -14,6 +14,8 @@ from modforms.polys import (
     poly_irreducible,
     poly_xgcd,
     resultant,
+    _pdivmod,
+    _pmul,
 )
 
 small_fractions = st.fractions(
@@ -96,6 +98,12 @@ def test_factor_degrees_mod_p():
     assert factor_degrees_mod_p(RatPoly([-20468736, -1080, 1]), 7) == [1, 1]
     with pytest.raises(ValueError):
         factor_degrees_mod_p(RatPoly([1, 0, 7]), 7)
+
+
+def test_fp_kernels_on_empty_and_short_operands():
+    assert _pmul([], [1, 2], 7) == _pmul([3], [], 7) == _pmul([], [], 7) == []
+    assert _pdivmod([1, 2], [1, 2, 3], 7) == ([], [1, 2])
+    assert _pdivmod([], [1, 2], 7) == ([], [])
 
 
 def test_factor_degrees_against_root_count():

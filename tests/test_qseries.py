@@ -91,6 +91,7 @@ def test_delta_unit_inverse():
 
 def test_shift():
     f = qs([1, 2, 3], 3)
+    assert f.shift(0) == f
     up = f.shift(2)
     assert up.prec == 5 and up.coeffs == [0, 0, 1, 2, 3]
     down = qs([0, 0, 1, 2], 4).shift(-2)
