@@ -42,14 +42,14 @@ from .hecke import (
     hecke_matrix,
 )
 from .identities import (
+    PRODUCT_IDENTITIES,
     EigenDecomposition,
     IdentityReport,
     decompose_in_eigenbasis,
     decompose_square,
     nonvanishing_report,
     verify_all,
-    verify_e24,
-    verify_e32,
+    verify_product_identity,
     verify_quadratic_identity,
     verify_ramanujan,
     verify_table1,

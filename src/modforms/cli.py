@@ -32,6 +32,13 @@ def _resolve_prec(args, k: int) -> int:
     return args.prec if args.prec is not None else 10 * dim_Mk(k) + 10
 
 
+def _parse_rational(flag: str, text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise CliError(f"{flag} must be a rational number such as 3 or -1/7, got {text!r}") from None
+
+
 def _parse_character(spec: str):
     """Character spec "N:index" against the characters_mod(N) enumeration."""
     try:
@@ -97,7 +104,10 @@ def cmd_qexp(args) -> int:
         _emit(args, payload)
         return EXIT_OK
     if name.startswith("Ek:"):
-        k = int(name[3:])
+        try:
+            k = int(name[3:])
+        except ValueError:
+            raise CliError(f"form must look like Ek:k with an integer k, got {name!r}") from None
     elif name.startswith("E") and name[1:].isdigit():
         k = int(name[1:])
     else:
@@ -199,9 +209,8 @@ def cmd_maeda(args) -> int:
 
 
 def cmd_finiteness(args) -> int:
-    report = scans.finiteness_scan(
-        Fraction(args.a), Fraction(args.b), k_max=args.kmax, l_max=args.lmax
-    )
+    a, b = _parse_rational("--a", args.a), _parse_rational("--b", args.b)
+    report = scans.finiteness_scan(a, b, k_max=args.kmax, l_max=args.lmax)
     payload = report.as_json()
     payload["csv"] = [["k", "conductor", "alpha_abs", "beta_abs", "excluded_by"]] + [
         [c.k, c.conductor, f"{c.alpha_abs:.6e}", f"{c.beta_abs:.6e}", c.excluded_by or "enumerated"]
@@ -214,11 +223,15 @@ def cmd_finiteness(args) -> int:
 def cmd_bounds(args) -> int:
     k = args.weight
     conductors = [int(x) for x in args.conductors.split(",")]
-    checks = []
+    checks, rows = [], {}
     for modulus in conductors:
         for chi in characters_mod(modulus):
             if chi.is_primitive() and chi.parity() == (-1) ** k:
-                checks.append(scans.bernoulli_bound_check(k, chi))
+                # chi and its conjugate share |B_{k,chi}|, and so their row
+                pair = frozenset((chi, chi**-1))
+                if pair not in rows:
+                    rows[pair] = scans.bernoulli_bound_check(k, chi)
+                checks.append(rows[pair])
     if not checks:
         raise CliError(
             f"weight {k}: no primitive character mod {args.conductors} has parity (-1)^{k}"

@@ -13,7 +13,7 @@ import mpmath
 
 from .arith import divisors, factorize
 from .numfield import NumberField, NumberFieldElement, cyclotomic_field
-from .polys import RatPoly, clear_denominators
+from .polys import RatPoly, _dense_eval, clear_denominators
 
 
 # ---------------------------------------------------------------------------
@@ -143,10 +143,6 @@ class DirichletCharacter:
 
     def value_field(self) -> NumberField:
         return cyclotomic_field(self.order)
-
-    def value(self, n: int) -> NumberFieldElement:
-        """chi(n) in Q(zeta_order)."""
-        return self.value_in(self.value_field(), n)
 
     def value_in(self, field: NumberField, n: int) -> NumberFieldElement:
         m = field.zeta_order
@@ -295,10 +291,7 @@ def gen_bernoulli(k: int, chi: DirichletCharacter) -> NumberFieldElement:
     sums: dict[int, int] = {}
     for a in range(N):
         if (e := chi.exponent_of(a)) is not None:
-            acc = 0
-            for c in reversed(h):
-                acc = acc * a + c
-            sums[e] = sums.get(e, 0) + acc
+            sums[e] = sums.get(e, 0) + _dense_eval(h, a)
     coords = [0] * field.degree
     for e, total in sums.items():
         # zeta^e has integer coordinates, since Phi_m is monic and integral
@@ -350,7 +343,7 @@ def abs_embed(x: NumberFieldElement | Fraction | int) -> float:
     while True:
         with mpmath.workprec(prec):
             coords = [mpmath.mpf(c.numerator) / c.denominator for c in x.coords]
-            value = mpmath.fabs(mpmath.polyval(coords[::-1], mpmath.exp(2j * mpmath.pi / m)))
+            value = mpmath.fabs(_dense_eval(coords, mpmath.exp(2j * mpmath.pi / m)))
             if value >= mpmath.ldexp(len(coords) * max(map(mpmath.fabs, coords)), 64 - prec):
                 return float(value)
         prec *= 2

@@ -112,12 +112,27 @@ class SpaceBasis:
         return len(self.forms)
 
 
+def weight_monomials(k: int, prec: int) -> list[QSeries]:
+    """E_4^a E_6^b Delta^j for j = 0 .. dim M_k - 1, with 4a + 6b = k - 12j
+    and b in {0, 1}: Delta^j leads, at q^j, so the list spans M_k."""
+    e4 = eisenstein_level1(4, prec).series
+    e6 = eisenstein_level1(6, prec).series
+    dl = delta(prec).series
+    monomials = []
+    dpow = QSeries.constant(QQ, 1, prec)
+    for j in range(dim_Mk(k)):
+        w = k - 12 * j
+        b = 1 if w % 4 == 2 else 0
+        monomials.append((e4 ** ((w - 6 * b) // 4)) * (e6**b) * dpow)
+        dpow = dpow * dl
+    return monomials
+
+
 def miller_basis(k: int, prec: int | None = None, cusp_only: bool = False) -> SpaceBasis:
     """Echelonized monomial basis of the weight-k space (or its cusp subspace).
 
-    Monomials E_4^a E_6^b Delta^c with 4a + 6b + 12c = k and b in {0, 1} span;
-    Gaussian elimination on the leading coefficients puts form i at valuation
-    i with unit leading coefficient.
+    Gaussian elimination on the leading coefficients of weight_monomials puts
+    form i at valuation i with unit leading coefficient.
     """
     if k % 2 or k < 0 or k == 2:
         raise ValueError("weight must be 0 or an even integer >= 4")
@@ -126,17 +141,7 @@ def miller_basis(k: int, prec: int | None = None, cusp_only: bool = False) -> Sp
         prec = 10 * d + 10
     if prec <= d:
         raise ValueError(f"prec must exceed the dimension {d} to echelonize")
-    e4 = eisenstein_level1(4, prec).series
-    e6 = eisenstein_level1(6, prec).series
-    dl = delta(prec).series
-    rows = []
-    dpow = QSeries.constant(QQ, 1, prec)
-    for j in range(d):
-        w = k - 12 * j
-        b = 1 if w % 4 == 2 else 0
-        a = (w - 6 * b) // 4
-        rows.append(((e4**a) * (e6**b) * dpow if (a or b) else dpow).coeffs)
-        dpow = dpow * dl
+    rows = [m.coeffs for m in weight_monomials(k, prec)]
     pivots = row_reduce(rows, Fraction(0), Fraction(1))
     assert pivots == list(range(d))
     start = 1 if cusp_only else 0

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from .arith import divisors
 from .dirichlet import DirichletCharacter
-from .forms import SpaceBasis, dim_Sk, miller_basis
+from .forms import SpaceBasis, dim_Sk, miller_basis, weight_monomials
 from .linalg import charpoly_rational, invert_rational, kernel_vector, mat_mul, weighted_sum
 from .numfield import QQ, NumberField, field_json
 from .polys import IrreducibilityCertificate, RatPoly, clear_denominators, poly_irreducible
@@ -224,16 +224,8 @@ def hecke_matrix_power_basis(n: int, k: int) -> list[list[Fraction]]:
         raise ValueError("the power basis needs 4 | k")
     m = hecke_matrix(n, k)
     d = m.dim
-    from .forms import delta, eisenstein_level1
-
-    prec = n * (d + 1) + 2
-    e4 = eisenstein_level1(4, prec).series
-    dl = delta(prec).series
-    monos = []
-    dpow = dl
-    for j in range(1, d + 1):
-        monos.append(dpow * e4 ** ((k - 12 * j) // 4))
-        dpow = dpow * dl
+    # with 4 | k these are Miller's monomials for j >= 1
+    monos = weight_monomials(k, d + 1)[1:]
     p = [[monos[j].coeff(i + 1) for j in range(d)] for i in range(d)]
     result = mat_mul(mat_mul(invert_rational(p), [list(r) for r in m.entries]), p)
     for row in result:

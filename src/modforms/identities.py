@@ -10,7 +10,7 @@ from .arith import sigma, squarefree_kernel
 from .forms import delta, dim_Sk, eisenstein_level1
 from .hecke import Eigenform, eigenbasis, galois_conjugate
 from .linalg import invert_rational, row_reduce, weighted_sum
-from .numfield import QQ, NumberField, NumberFieldElement, field_json
+from .numfield import QQ, NumberField, NumberFieldElement, coeff_json, field_json
 from .qseries import QSeries
 
 # Reference constants the verification suite reproduces (exact rationals).
@@ -79,15 +79,12 @@ def verify_quadratic_identity(
     b,
 ) -> IdentityReport:
     """Exact coefficientwise check of h = a f^2 + b f g + g^2 to the common
-    precision of the three series."""
-    if not (h.field == f.field == g.field):
-        raise ValueError("series over different coefficient fields")
-    depth = min(h.prec, f.prec, g.prec)
+    precision of the three series, which share one coefficient field."""
     residual = h - (f * f).scale(a) - (f * g).scale(b) - g * g
-    for n in range(depth):
-        if residual.coeff(n) != 0:
-            return IdentityReport(name, "failed", depth, first_failure=n)
-    return IdentityReport(name, "verified", depth)
+    n = residual.valuation()
+    if n is not None:
+        return IdentityReport(name, "failed", residual.prec, first_failure=n)
+    return IdentityReport(name, "verified", residual.prec)
 
 
 def verify_ramanujan(prec: int = 200) -> IdentityReport:
@@ -98,9 +95,9 @@ def verify_ramanujan(prec: int = 200) -> IdentityReport:
     e6 = eisenstein_level1(6, prec).series
     dl = delta(max(prec, congruence_range + 1)).series
     residual = e12 - e6 * e6 - dl.truncate(prec).scale(RAMANUJAN_FACTOR)
-    for n in range(prec):
-        if residual.coeff(n) != 0:
-            return IdentityReport("ramanujan", "failed", prec, first_failure=n)
+    n = residual.valuation()
+    if n is not None:
+        return IdentityReport("ramanujan", "failed", prec, first_failure=n)
     for n in range(1, congruence_range + 1):
         tau = dl.coeff(n)
         assert tau.denominator == 1
@@ -116,7 +113,7 @@ def verify_ramanujan(prec: int = 200) -> IdentityReport:
     )
 
 
-def _solve_product_identity(h: QSeries, f: QSeries, g: QSeries) -> tuple[Fraction, Fraction]:
+def solve_product_identity(h: QSeries, f: QSeries, g: QSeries) -> tuple[Fraction, Fraction]:
     """Solve h = a f^2 + b f g + g^2 for (a, b) from the q^1 and q^2 rows,
     assuming f = q + O(q^2) and g = 1 + O(q)."""
     if min(h.prec, f.prec, g.prec) < 3:
@@ -129,50 +126,40 @@ def _solve_product_identity(h: QSeries, f: QSeries, g: QSeries) -> tuple[Fractio
     return a, b
 
 
-def _verify_product_identity(
-    name: str, h: QSeries, f: QSeries, g: QSeries, reference: tuple[Fraction, Fraction]
-) -> IdentityReport:
-    a, b = _solve_product_identity(h, f, g)
+# The product identities h = a f^2 + b f g + g^2: for each, the function giving
+# (h, f, g) at a precision, and the reference constants (a, b).
+PRODUCT_IDENTITIES = {
+    "e24": (
+        lambda prec: (
+            eisenstein_level1(24, prec).series,
+            delta(prec).series,
+            eisenstein_level1(12, prec).series,
+        ),
+        (E24_A, E24_B),
+    ),
+    "e32": (
+        lambda prec: (
+            eisenstein_level1(32, prec).series,
+            eisenstein_level1(4, prec).series * delta(prec).series,
+            eisenstein_level1(16, prec).series,
+        ),
+        (E32_A, E32_B),
+    ),
+}
+
+
+def verify_product_identity(name: str, prec: int) -> IdentityReport:
+    """Solve a PRODUCT_IDENTITIES entry for (a, b), check the identity to prec
+    terms, and fail unless the reference constants come out."""
+    series, reference = PRODUCT_IDENTITIES[name]
+    h, f, g = series(prec)
+    a, b = solve_product_identity(h, f, g)
     report = verify_quadratic_identity(name, h, f, g, a, b)
     report.detail = f"a = {a}, b = {b}"
     if (a, b) != reference:
         report.status = "failed"
         report.detail += " (reference constants not reproduced)"
     return report
-
-
-def _e24_series(prec: int) -> tuple[QSeries, QSeries, QSeries]:
-    """(h, f, g) = (E24, Delta, E12)."""
-    return (
-        eisenstein_level1(24, prec).series,
-        delta(prec).series,
-        eisenstein_level1(12, prec).series,
-    )
-
-
-def e24_constants(prec: int = 80) -> tuple[Fraction, Fraction]:
-    return _solve_product_identity(*_e24_series(prec))
-
-
-def verify_e24(prec: int = 80) -> IdentityReport:
-    return _verify_product_identity("e24", *_e24_series(prec), (E24_A, E24_B))
-
-
-def _e32_series(prec: int) -> tuple[QSeries, QSeries, QSeries]:
-    """(h, f, g) = (E32, E4 Delta, E16)."""
-    return (
-        eisenstein_level1(32, prec).series,
-        eisenstein_level1(4, prec).series * delta(prec).series,
-        eisenstein_level1(16, prec).series,
-    )
-
-
-def e32_constants(prec: int = 80) -> tuple[Fraction, Fraction]:
-    return _solve_product_identity(*_e32_series(prec))
-
-
-def verify_e32(prec: int = 80) -> IdentityReport:
-    return _verify_product_identity("e32", *_e32_series(prec), (E32_A, E32_B))
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +209,7 @@ class EigenDecomposition:
             "source": self.source,
             "weight": self.weight,
             "hecke_field": field_json(self.hecke_field),
-            "coords": [
-                [str(x) for x in c.coords] if isinstance(c, NumberFieldElement) else str(c)
-                for c in self.coords
-            ],
+            "coords": [coeff_json(c) for c in self.coords],
             "dim": self.dim,
             "vanishing_count": self.vanishing_count,
             "verified_prec": self.verified_prec,
@@ -395,15 +379,12 @@ def verify_table1() -> IdentityReport:
             return terms[0].scale(a) + terms[1].scale(b)
 
         g = dec.eigenform
-        recon = reference_series(root)
-        for n in range(min(TABLE1_PREC, recon.prec, g.prec)):
-            if recon.coeff(n) != g.a(n):
-                return False, f"series reconstruction differs at q^{n}"
-        sigma_g = galois_conjugate(g)
-        recon_conj = reference_series(-root)
-        for n in range(min(TABLE1_PREC, recon_conj.prec, sigma_g.prec)):
-            if recon_conj.coeff(n) != sigma_g.a(n):
-                return False, f"conjugate reconstruction differs at q^{n}"
+        n = (reference_series(root) - g.series).valuation()
+        if n is not None:
+            return False, f"series reconstruction differs at q^{n}"
+        n = (reference_series(-root) - galois_conjugate(g).series).valuation()
+        if n is not None:
+            return False, f"conjugate reconstruction differs at q^{n}"
         c1, c2 = dec.conjugate_pair()
         if not (c1 + c2).is_zero():
             return False, "coefficients are not antisymmetric"
@@ -458,8 +439,10 @@ def verify_table1() -> IdentityReport:
 # and the CLI's `verify` read this one table.
 VERIFY_TARGETS = {
     "ramanujan": lambda prec: verify_ramanujan(min(prec, 200)),
-    "e24": lambda prec: verify_e24(min(prec, 80)),
-    "e32": lambda prec: verify_e32(min(prec, 80)),
+    **{
+        name: lambda prec, name=name: verify_product_identity(name, min(prec, 80))
+        for name in PRODUCT_IDENTITIES
+    },
     "table1": lambda prec: verify_table1(),
 }
 

@@ -27,14 +27,6 @@ def weighted_sum(elems, weights, zero):
     return acc
 
 
-def mat_identity(n: int):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def mat_trace(a) -> Fraction:
-    return sum((a[i][i] for i in range(len(a))), Fraction(0))
-
-
 def charpoly_rational(a) -> RatPoly:
     """Characteristic polynomial det(xI - A) by Faddeev-LeVerrier, exact."""
     n = len(a)
@@ -48,7 +40,7 @@ def charpoly_rational(a) -> RatPoly:
                 for i in range(n)
             ]
             mk = mat_mul(a, shifted)
-        coeffs[n - k] = -mat_trace(mk) / k
+        coeffs[n - k] = -sum((mk[i][i] for i in range(n)), Fraction(0)) / k
     return RatPoly(coeffs)
 
 
@@ -79,7 +71,7 @@ def row_reduce(m, zero, one) -> list[int]:
 def invert_rational(a):
     """Inverse of a square rational matrix; raises ValueError when singular."""
     n = len(a)
-    m = [list(row) + ident for row, ident in zip(a, mat_identity(n))]
+    m = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
     if row_reduce(m, Fraction(0), Fraction(1)) != list(range(n)):
         raise ValueError("singular matrix")
     return [row[n:] for row in m]

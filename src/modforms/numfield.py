@@ -253,7 +253,7 @@ class NumberFieldElement:
         return f"NFE{list(self.coords)}"
 
     def as_json(self) -> dict:
-        return {**field_json(self.parent), "coords": [str(c) for c in self.coords]}
+        return {**field_json(self.parent), "coords": coeff_json(self)}
 
 
 def field_json(field) -> str | dict:
@@ -261,6 +261,14 @@ def field_json(field) -> str | dict:
     if isinstance(field, NumberField):
         return {"modulus": [str(c) for c in field.modulus.coeffs]}
     return "Q"
+
+
+def coeff_json(c) -> str | list[str]:
+    """JSON form of one coefficient: a rational's string, or a number-field
+    element's coordinate strings."""
+    if isinstance(c, NumberFieldElement):
+        return [str(x) for x in c.coords]
+    return str(c)
 
 
 @lru_cache(maxsize=None)

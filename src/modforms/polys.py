@@ -17,10 +17,10 @@ from .arith import divisors, factorize, iter_primes
 # the coefficients' own +, -, * and /, except that a product over Q clears
 # denominators and runs on Python ints, and division by a monic polynomial
 # never divides. Every series, polynomial and number-field product, division,
-# gcd and power in the package runs here, as does every series inverse and
-# every reduction modulo a number field's modulus; only the F_p product,
-# division and gcd below keep their own loops, which reduce mod q at every
-# step.
+# gcd, power and evaluation in the package runs here, as does every series
+# inverse and every reduction modulo a number field's modulus; only the F_p
+# product, division and gcd below keep their own loops, which reduce mod q at
+# every step, and the arc evaluator in zeros, which floors at every step.
 # ---------------------------------------------------------------------------
 
 
@@ -59,6 +59,18 @@ def _dense_mul(a, b, zero, n=None):
         k = min(len(b), m - i)
         out[i : i + k] = [o + x * y for o, y in zip(out[i : i + k], b)]
     return out
+
+
+def _dense_eval(a, x):
+    """a(x) by Horner's rule: acc starts at the top coefficient (the int 0
+    for an empty list) and takes acc * x + c for each lower one, as
+    mpmath.polyval does. Only the operands' own + and * are used, so x and
+    the coefficients may come from any ring that mixes with them: Q, Z, a
+    number field, complex doubles or mpmath numbers."""
+    acc = a[-1] if a else 0
+    for c in a[-2::-1]:
+        acc = acc * x + c
+    return acc
 
 
 def clear_denominators(a) -> tuple[int, list[int]]:
@@ -201,10 +213,7 @@ class RatPoly:
         return RatPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def evaluate(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return _dense_eval(self.coeffs, x)
 
     def __repr__(self) -> str:
         if self.is_zero():

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from .numfield import NumberField, field_json
+from .numfield import coeff_json, field_json
 from .polys import _binary_power, _dense_mul
 
 
@@ -103,9 +103,6 @@ class QSeries:
             g = _dense_mul(e, g, zero, m)
         return QSeries(self.field, g, self.prec)
 
-    def __truediv__(self, other: "QSeries") -> "QSeries":
-        return self * other.inverse()
-
     def valuation(self) -> int | None:
         """Smallest n with a_n != 0, or None when zero to precision."""
         for n, c in enumerate(self.coeffs):
@@ -150,8 +147,5 @@ class QSeries:
         return f"QSeries([{shown}{more}] + O(q^{self.prec}))"
 
     def as_json(self) -> dict:
-        if isinstance(self.field, NumberField):
-            coeffs = [[str(x) for x in c.coords] for c in self.coeffs]
-        else:
-            coeffs = [str(c) for c in self.coeffs]
+        coeffs = [coeff_json(c) for c in self.coeffs]
         return {"prec": self.prec, "field": field_json(self.field), "coeffs": coeffs}

@@ -8,19 +8,14 @@ from __future__ import annotations
 
 import cmath
 import random
-from fractions import Fraction
 
-
-def _to_complex(c) -> complex:
-    if isinstance(c, Fraction):
-        return complex(c.numerator / c.denominator)
-    return complex(c)
+from .polys import _dense_eval
 
 
 def aberth_roots(coeffs) -> list[complex]:
     """All complex roots of a polynomial given by ascending coefficients, to a
     relative step below 1e-13 or after 500 iterations."""
-    cs = [_to_complex(c) for c in coeffs]
+    cs = [complex(c) for c in coeffs]
     while cs and abs(cs[-1]) == 0:
         cs.pop()
     n = len(cs) - 1
@@ -29,12 +24,6 @@ def aberth_roots(coeffs) -> list[complex]:
     lead = cs[-1]
     cs = [c / lead for c in cs]
     deriv = [i * c for i, c in enumerate(cs)][1:]
-
-    def val(z: complex, poly) -> complex:
-        acc = 0j
-        for c in reversed(poly):
-            acc = acc * z + c
-        return acc
 
     # Fujiwara root bound keeps the start circle close to the actual roots
     radius = 2.0 * max(abs(cs[n - k]) ** (1.0 / k) for k in range(1, n + 1))
@@ -48,8 +37,8 @@ def aberth_roots(coeffs) -> list[complex]:
         moved = 0.0
         new = list(zs)
         for i, z in enumerate(zs):
-            pz = val(z, cs)
-            dz = val(z, deriv)
+            pz = _dense_eval(cs, z)
+            dz = _dense_eval(deriv, z)
             if dz == 0:
                 new[i] = z + (0.01 + 0.01j)
                 moved = max(moved, 1.0)

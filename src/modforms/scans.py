@@ -129,16 +129,11 @@ def alpha_beta(
 
 
 def _inv_lower_bound(k: int, conductor: int) -> float:
-    """1 / bernoulli_lower_bound in log space (safe for large k)."""
-    log_val = (
-        math.log(2)
-        + math.log(zeta_direct(2 * k))
-        - math.log(zeta_direct(k))
-        + math.lgamma(k + 1)
-        - k * math.log(2 * math.pi)
-        + (k - 0.5) * math.log(conductor)
-    )
-    return 0.0 if log_val > 700 else math.exp(-log_val)
+    """1 / bernoulli_lower_bound, and 0.0 past the double range."""
+    try:
+        return 1 / bernoulli_lower_bound(k, conductor)
+    except OverflowError:
+        return 0.0
 
 
 def envelope(k: int, conductor: int = 1) -> float:

@@ -18,7 +18,7 @@ import mpmath
 
 from .forms import delta, eisenstein_level1
 from .identities import J_SHIFT
-from .polys import RatPoly, clear_denominators
+from .polys import RatPoly, _dense_eval, clear_denominators
 from .qseries import QSeries
 from .roots import aberth_roots
 
@@ -256,6 +256,33 @@ class JAlgebraicityReport:
         }
 
 
+def _real_roots(poly: RatPoly, start: list[complex]) -> list | None:
+    """The deg(poly) roots of poly as sorted mpf reals, or None unless they
+    are that many distinct reals. The real part of each start root (from
+    aberth_roots, in double precision) is refined by Newton's method at DPS
+    digits, with P and P' by the Horner kernel on the coefficients rounded
+    once; a root counts once its Newton step falls below 10^(-DPS/2) of it,
+    and two roots closer than that count as one."""
+    with mpmath.workdps(DPS):
+        cs = [mpmath.mpf(c.numerator) / c.denominator for c in poly.coeffs]
+        ds = [i * c for i, c in enumerate(cs)][1:]
+        eps, roots = mpmath.mpf(10) ** (-DPS // 2), []
+        for z in start:
+            x = mpmath.mpf(z.real)
+            for _ in range(100):
+                slope = _dense_eval(ds, x)
+                if slope == 0:  # a critical point: no Newton step
+                    return None
+                step = _dense_eval(cs, x) / slope
+                x -= step
+                if abs(step) <= eps * abs(x):
+                    roots.append(x)
+                    break
+        roots.sort()
+        distinct = all(b - a > eps * abs(b) for a, b in zip(roots, roots[1:]))
+        return roots if distinct and len(roots) == len(start) else None
+
+
 def _pairing_distance(xs: list[complex], ys: list[complex]) -> float:
     """Maximum pointwise distance with both lists paired in order of real part.
 
@@ -279,16 +306,12 @@ def jvalue_algebraicity_check(
     poly = algebraic_poly(expansion)
     zeros = find_arc_zeros(12 * n, tol=tol_zero)
     with mpmath.workdps(DPS):
-        jvals = []
-        for z in zeros:
-            zz = mpmath.exp(1j * mpmath.mpf(z.theta))
-            jvals.append(complex(jvalue_at(zz)))
+        jvals = [complex(jvalue_at(mpmath.exp(1j * mpmath.mpf(z.theta)))) for z in zeros]
+    start = aberth_roots(poly.coeffs)
+    refined = _real_roots(poly, start)  # Rankin-Swinnerton-Dyer: all real
     shift = float(J_SHIFT)  # 432000/691, the exact j-shift constant
-    roots = [complex(r) + shift for r in aberth_roots(poly.coeffs)]
-    if len(zeros) != n or len(roots) != n:
-        return JAlgebraicityReport(
-            n, expansion, zeros, jvals, roots, math.inf, "failed", tol_match
-        )
-    dist = _pairing_distance(jvals, roots)
+    roots = [complex(r) + shift for r in refined or start]
+    found = len(zeros) == n and refined is not None
+    dist = _pairing_distance(jvals, roots) if found else math.inf
     status = "verified" if dist <= tol_match else "failed"
     return JAlgebraicityReport(n, expansion, zeros, jvals, roots, dist, status, tol_match)

@@ -23,10 +23,10 @@ from modforms.identities import (
     TABLE1_ROW1_CONST,
     TABLE1_ROW1_CONST_REFERENCE,
     TABLE2_FIELD_DISCS,
+    PRODUCT_IDENTITIES,
     decompose_square,
-    e24_constants,
-    e32_constants,
     nonvanishing_report,
+    solve_product_identity,
     verify_ramanujan,
     verify_table1,
 )
@@ -72,7 +72,8 @@ def test_criterion_01_ramanujan():
 
 def test_criterion_02_e24_constants():
     def check():
-        a, b = e24_constants(prec=80)
+        series, _ = PRODUCT_IDENTITIES["e24"]
+        a, b = solve_product_identity(*series(80))
         assert a == Fraction(
             -(2**14 * 3**8 * 5**4 * 7**4 * 13**2 * 1571), 103 * 691**2 * 2294797
         )
@@ -86,7 +87,8 @@ def test_criterion_02_e24_constants():
 
 def test_criterion_03_e32_constants():
     def check():
-        a, b = e32_constants(prec=80)
+        series, _ = PRODUCT_IDENTITIES["e32"]
+        a, b = solve_product_identity(*series(80))
         assert a == Fraction(
             -(2**18 * 3**8 * 5**5 * 7**4 * 11 * 13**2 * 17**2 * 4273),
             37 * 683 * 3617**2 * 305065927,

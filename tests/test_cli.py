@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from modforms import hecke
+from modforms import hecke, scans
 from modforms.cli import main
 from modforms.polys import RatPoly, poly_irreducible
 
@@ -107,6 +107,23 @@ def test_bounds_subcommand_csv(capsys):
     assert all(line.endswith("True") for line in lines[1:])
 
 
+def test_bounds_computes_each_conjugate_pair_once(capsys, monkeypatch):
+    """A character and its conjugate share |B_{k,chi}| and so one row."""
+    calls = []
+    real = scans.gen_bernoulli
+
+    def counted(k, chi):
+        calls.append((k, chi))
+        return real(k, chi)
+
+    monkeypatch.setattr(scans, "gen_bernoulli", counted)
+    code, out, _ = run_cli(capsys, "bounds", "20", "1,3,4,5,7,8,11,12,13", "--output", "json")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert len(checks) == 15 and len(calls) == 10
+    assert len({json.dumps(c) for c in checks}) == 10
+
+
 def test_deterministic_output(capsys):
     runs = []
     for _ in range(2):
@@ -139,6 +156,15 @@ def test_error_exit_codes(capsys):
         code, out, err = run_cli(capsys, "qexp", form, "--output", "json")
         assert code == 2 and out == ""
         assert err.startswith("error:") and "EisNk:psi,phi,t,k" in err
+    # parse errors name the form or the flag they come from
+    code, out, err = run_cli(capsys, "qexp", "Ek:abc")
+    assert (code, out) == (2, "")
+    assert err == "error: form must look like Ek:k with an integer k, got 'Ek:abc'\n"
+    for flag, value in (("--a", "1/0"), ("--b", "x")):
+        argv = {"--a": "1", "--b": "1", flag: value}
+        code, out, err = run_cli(capsys, "finiteness", *[t for kv in argv.items() for t in kv])
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} must be a rational number such as 3 or -1/7, got {value!r}\n"
 
 
 def test_out_file(tmp_path, capsys):

@@ -13,11 +13,11 @@ from modforms.identities import (
     TABLE1_ROW1_CONST_REFERENCE,
     decompose_in_eigenbasis,
     decompose_square,
-    e24_constants,
-    e32_constants,
+    PRODUCT_IDENTITIES,
+    VERIFY_TARGETS,
     nonvanishing_report,
-    verify_e24,
-    verify_e32,
+    solve_product_identity,
+    verify_product_identity,
     verify_quadratic_identity,
     verify_ramanujan,
     verify_table1,
@@ -32,17 +32,24 @@ def test_verify_ramanujan():
 
 
 def test_e24_constants_solved_and_identity():
-    a, b = e24_constants()
-    assert a == E24_A
-    assert b == E24_B
-    assert verify_e24().verified
+    series, reference = PRODUCT_IDENTITIES["e24"]
+    assert reference == (E24_A, E24_B)
+    assert solve_product_identity(*series(80)) == reference
+    assert verify_product_identity("e24", 80).verified
 
 
 def test_e32_constants_solved_and_identity():
-    a, b = e32_constants()
-    assert a == E32_A
-    assert b == E32_B
-    assert verify_e32().verified
+    series, reference = PRODUCT_IDENTITIES["e32"]
+    assert reference == (E32_A, E32_B)
+    assert solve_product_identity(*series(80)) == reference
+    assert verify_product_identity("e32", 80).verified
+
+
+def test_verify_targets_read_the_product_identity_table():
+    assert list(VERIFY_TARGETS) == ["ramanujan", *PRODUCT_IDENTITIES, "table1"]
+    for name in PRODUCT_IDENTITIES:
+        report = VERIFY_TARGETS[name](100)  # capped at 80 terms
+        assert (report.name, report.prec, report.verified) == (name, 80, True)
 
 
 def test_quadratic_identity_perturbation_fails_early():

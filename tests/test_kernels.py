@@ -5,15 +5,18 @@ of the product over Q, the Newton series inverse and the Bareiss extended gcd
 are also checked against the Fraction loop, the coefficient recurrence and
 the Euclidean loop they replaced, the number-field reduction against
 sympy.rem and the former zeta-power embedding loop, and the Sylvester
-resultant and discriminant against sympy."""
+resultant and discriminant against sympy. The Horner evaluation kernel is
+checked against sympy, the former private loops of roots.aberth_roots and
+RatPoly.evaluate, and mpmath.polyval."""
 
 import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.subresultants_qq_zz import res_q
 
@@ -24,6 +27,7 @@ from modforms.polys import (
     RatPoly,
     _binary_power,
     _dense_divmod,
+    _dense_eval,
     _dense_gcd,
     _dense_mul,
     _dense_trim,
@@ -482,3 +486,73 @@ def test_discriminant_matches_sympy(a, c, square):
             discriminant(p)
         return
     assert discriminant(p) == sympy_fraction(sympy.discriminant(to_sympy(a)))
+
+
+# ---------------------------------------------------------------------------
+# The evaluation kernel against sympy and the loops it replaced
+# ---------------------------------------------------------------------------
+
+eval_coeffs = st.one_of(
+    st.lists(st.integers(-10**6, 10**6), min_size=0, max_size=13),
+    st.lists(small_fractions, min_size=0, max_size=13),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(eval_coeffs, st.one_of(st.integers(-9, 9), small_fractions))
+@example([], 3)
+@example([Fraction(5, 2)], Fraction(-1, 3))
+@example(list(range(-6, 7)), 2)
+def test_dense_eval_matches_sympy(coeffs, x):
+    """Empty, constant and degree up to 12, on int and Fraction coefficients."""
+    value = to_sympy([Fraction(c) for c in coeffs]).eval(sympy.Rational(x.numerator, x.denominator))
+    assert _dense_eval(coeffs, x) == sympy_fraction(value)
+
+
+def former_aberth_val(z: complex, poly) -> complex:
+    """The Horner loop roots.aberth_roots kept privately, kept as the oracle."""
+    acc = 0j
+    for c in reversed(poly):
+        acc = acc * z + c
+    return acc
+
+
+def test_dense_eval_matches_the_former_aberth_loop_on_complex_doubles():
+    rng = random.Random(21)
+    rand = lambda: complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
+    for n in range(14):
+        cs = [rand() for _ in range(n)]
+        for z in (rand(), complex(rng.uniform(-1, 1)), 0j, -0.0 + 0j):
+            assert _dense_eval(cs, z) == former_aberth_val(z, cs)
+
+
+def former_ratpoly_evaluate(coeffs, x):
+    """The loop RatPoly.evaluate carried, kept as the oracle."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def test_dense_eval_matches_the_former_ratpoly_loop_at_number_field_elements():
+    rng = random.Random(22)
+    rand = lambda n: [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+    for K in reduction_fields()[::3]:
+        for n in (0, 1, 2, 5, 9):
+            p = RatPoly(rand(n))
+            x = K.element(rand(K.degree))
+            assert p.evaluate(x) == former_ratpoly_evaluate(p.coeffs, x)
+            assert _dense_eval(p.coeffs, x) == former_ratpoly_evaluate(p.coeffs, x)
+        # a Hecke field's generator is a root of its modulus
+        assert K.modulus.evaluate(K.gen()) == K.zero()
+
+
+def test_dense_eval_equals_mpmath_polyval_at_200_bits():
+    """Equal, not close: the same products and sums in the same order."""
+    rng = random.Random(23)
+    with mpmath.workprec(200):
+        rand = lambda: mpmath.mpc(rng.uniform(-3, 3), rng.uniform(-3, 3)) / 7
+        for n in range(1, 14):
+            for coeffs in ([rand() for _ in range(n)], [rand().real for _ in range(n)]):
+                x = rand()
+                assert _dense_eval(coeffs, x) == mpmath.polyval(coeffs[::-1], x)

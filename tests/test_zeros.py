@@ -358,15 +358,42 @@ def test_jvalue_check_n10_verifies():
         assert len(report.zeros) == n
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="roots.aberth_roots works in double precision, so from n = 16 on its "
-    "root error exceeds the default match tolerance 1e-8",
-)
-@pytest.mark.parametrize("n", [16, 20])
+@pytest.mark.parametrize("n", [16, 20, 28])
 def test_jvalue_check_verifies_past_double_precision(n):
+    # the double-precision Aberth roots alone miss 1e-8 from n = 16 on
     report = jvalue_algebraicity_check(n)
     assert report.verified
+    assert all(v.imag == 0 for v in report.poly_roots_shifted)
+
+
+@pytest.mark.parametrize(
+    "coeffs, expected",
+    [
+        ([-6, 11, -6, 1], [1, 2, 3]),
+        ([Fraction(-1, 3), 0, 1], [-(3**-0.5), 3**-0.5]),
+        ([1, 0, 1], None),  # x^2 + 1: no real roots
+        ([-2, 5, -4, 1], None),  # (x - 1)^2 (x - 2): a repeated root
+    ],
+)
+def test_real_roots_are_distinct_refined_reals_or_none(coeffs, expected):
+    poly = RatPoly(coeffs)
+    roots = zeros._real_roots(poly, aberth_roots(poly.coeffs))
+    if expected is None:
+        assert roots is None
+        return
+    assert all(isinstance(r, mpmath.mpf) for r in roots)
+    with mpmath.workdps(zeros.DPS):
+        cs = [mpmath.mpf(c.numerator) / c.denominator for c in poly.coeffs]
+        for r, e in zip(roots, expected):
+            assert abs(r - e) < 1e-15
+            assert abs(zeros._dense_eval(cs, r)) < 1e-30
+
+
+def test_check_fails_without_distinct_real_roots(monkeypatch):
+    monkeypatch.setattr(zeros, "_real_roots", lambda poly, start: None)
+    report = jvalue_algebraicity_check(2)
+    assert report.status == "failed" and report.max_pair_distance == math.inf
+    assert len(report.poly_roots_shifted) == 2  # the unrefined Aberth roots
 
 
 def test_jvalues_build_e4_and_e6_once(monkeypatch):
