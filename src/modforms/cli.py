@@ -39,6 +39,15 @@ def _parse_rational(flag: str, text: str) -> Fraction:
         raise CliError(f"{flag} must be a rational number such as 3 or -1/7, got {text!r}") from None
 
 
+def _parse_conductors(text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise CliError(
+            f"conductors must be a comma-separated integer list such as 1,3,4, got {text!r}"
+        ) from None
+
+
 def _parse_character(spec: str):
     """Character spec "N:index" against the characters_mod(N) enumeration."""
     try:
@@ -210,6 +219,9 @@ def cmd_maeda(args) -> int:
 
 def cmd_finiteness(args) -> int:
     a, b = _parse_rational("--a", args.a), _parse_rational("--b", args.b)
+    for flag, value in (("--kmax", args.kmax), ("--lmax", args.lmax)):
+        if value < 1:
+            raise CliError(f"{flag} must be at least 1, got {value}")
     report = scans.finiteness_scan(a, b, k_max=args.kmax, l_max=args.lmax)
     payload = report.as_json()
     payload["csv"] = [["k", "conductor", "alpha_abs", "beta_abs", "excluded_by"]] + [
@@ -222,9 +234,8 @@ def cmd_finiteness(args) -> int:
 
 def cmd_bounds(args) -> int:
     k = args.weight
-    conductors = [int(x) for x in args.conductors.split(",")]
     checks, rows = [], {}
-    for modulus in conductors:
+    for modulus in _parse_conductors(args.conductors):
         for chi in characters_mod(modulus):
             if chi.is_primitive() and chi.parity() == (-1) ** k:
                 # chi and its conjugate share |B_{k,chi}|, and so their row

@@ -103,7 +103,6 @@ def jfunction(prec: int) -> QSeries:
 @dataclass(frozen=True)
 class SpaceBasis:
     weight: int
-    cusp_only: bool
     forms: tuple[ModularForm, ...]
     prec: int
 
@@ -150,7 +149,7 @@ def miller_basis(k: int, prec: int | None = None, cusp_only: bool = False) -> Sp
         ModularForm(k, 1, trivial_character(1), QSeries(QQ, rows[j], prec), f"{tag}{k}.{j}")
         for j in range(start, d)
     )
-    return SpaceBasis(k, cusp_only, forms, prec)
+    return SpaceBasis(k, forms, prec)
 
 
 def eisenstein_levelN(

@@ -10,7 +10,7 @@ from .arith import sigma, squarefree_kernel
 from .forms import delta, dim_Sk, eisenstein_level1
 from .hecke import Eigenform, eigenbasis, galois_conjugate
 from .linalg import invert_rational, row_reduce, weighted_sum
-from .numfield import QQ, NumberField, NumberFieldElement, coeff_json, field_json
+from .numfield import QQ, NumberField, NumberFieldElement
 from .qseries import QSeries
 
 # Reference constants the verification suite reproduces (exact rationals).
@@ -25,7 +25,6 @@ E32_B = Fraction(
     -(2**12 * 3**4 * 5**3 * 7**2 * 13 * 17**2 * 23 * 1433),
     37 * 683 * 3617 * 305065927,
 )
-J_SHIFT = Fraction(432000, 691)
 
 # Reference data for the two quadratic eigenform-square decompositions.
 TABLE1_DISCS = {24: 144169, 32: 18295489}
@@ -181,7 +180,6 @@ def verify_product_identity(name: str, prec: int) -> IdentityReport:
 
 @dataclass
 class EigenDecomposition:
-    source: str
     weight: int
     base_field: object
     hecke_field: object
@@ -204,23 +202,11 @@ class EigenDecomposition:
         c = self.hecke_field.element(self.coords)
         return c, self.hecke_field.conjugate_quadratic(c)
 
-    def as_json(self) -> dict:
-        return {
-            "source": self.source,
-            "weight": self.weight,
-            "hecke_field": field_json(self.hecke_field),
-            "coords": [coeff_json(c) for c in self.coords],
-            "dim": self.dim,
-            "vanishing_count": self.vanishing_count,
-            "verified_prec": self.verified_prec,
-        }
-
 
 def decompose_in_eigenbasis(
     series: QSeries,
     weight: int,
     prec: int | None = None,
-    source: str = "",
 ) -> EigenDecomposition:
     """Decompose a cusp expansion against the normalized eigenbasis of the
     given weight; exact in the base field of the input."""
@@ -241,9 +227,7 @@ def decompose_in_eigenbasis(
         for n in range(prec):
             if not c * g.a(n) == series.coeff(n):
                 raise ArithmeticError(f"decomposition fails at coefficient {n}")
-        return EigenDecomposition(
-            source, weight, base, QQ, (c,), 1, 1 if c == 0 else 0, prec, g
-        )
+        return EigenDecomposition(weight, base, QQ, (c,), 1, 1 if c == 0 else 0, prec, g)
 
     K = g.field
     t = K.power_traces(3 * d2 - 2)
@@ -266,13 +250,13 @@ def decompose_in_eigenbasis(
     s = [weighted_sum(coords, t[l : l + d2], base.zero()) for l in range(2 * d2 - 1)]
     hankel = [s[u : u + d2] for u in range(d2)]
     vanishing = d2 - len(row_reduce(hankel, base.zero(), base.one()))
-    return EigenDecomposition(source, weight, base, K, tuple(coords), d2, vanishing, prec, g)
+    return EigenDecomposition(weight, base, K, tuple(coords), d2, vanishing, prec, g)
 
 
 def decompose_square(f: Eigenform, prec: int | None = None) -> EigenDecomposition:
     """Decompose f^2 against the eigenbasis of weight 2k."""
     fsq = f.series * f.series
-    return decompose_in_eigenbasis(fsq, 2 * f.weight, prec=prec, source=f"({f.label})^2")
+    return decompose_in_eigenbasis(fsq, 2 * f.weight, prec=prec)
 
 
 @dataclass

@@ -252,9 +252,6 @@ class NumberFieldElement:
     def __repr__(self) -> str:
         return f"NFE{list(self.coords)}"
 
-    def as_json(self) -> dict:
-        return {**field_json(self.parent), "coords": coeff_json(self)}
-
 
 def field_json(field) -> str | dict:
     """JSON description of a coefficient field: "Q", or a number field's modulus."""

@@ -9,30 +9,55 @@ from __future__ import annotations
 import cmath
 import random
 
+import mpmath
+
 from .polys import _dense_eval
 
 
-def aberth_roots(coeffs) -> list[complex]:
-    """All complex roots of a polynomial given by ascending coefficients, to a
-    relative step below 1e-13 or after 500 iterations."""
-    cs = [complex(c) for c in coeffs]
-    while cs and abs(cs[-1]) == 0:
-        cs.pop()
-    n = len(cs) - 1
+def step_tolerance():
+    """10^(-dps/2) at mpmath's working precision: the relative step at which
+    the working-precision stage of aberth_roots stops."""
+    return mpmath.mpf(10) ** (-mpmath.mp.dps / 2)
+
+
+def aberth_roots(coeffs) -> list:
+    """All complex roots of a polynomial given by ascending coefficients, as
+    mpc at mpmath's working precision.
+
+    The iteration runs in double precision from a fixed start circle to a
+    relative step below 1e-13, then from those roots on the coefficients
+    rounded once to the working precision, to a relative step below
+    step_tolerance(); each stage stops after 500 iterations at the latest.
+    """
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    n = len(coeffs) - 1
     if n < 1:
         raise ValueError("degree >= 1 required")
-    lead = cs[-1]
-    cs = [c / lead for c in cs]
-    deriv = [i * c for i, c in enumerate(cs)][1:]
+    cs = [complex(c) for c in coeffs]
 
     # Fujiwara root bound keeps the start circle close to the actual roots
-    radius = 2.0 * max(abs(cs[n - k]) ** (1.0 / k) for k in range(1, n + 1))
+    radius = 2.0 * max(abs(cs[n - k] / cs[n]) ** (1.0 / k) for k in range(1, n + 1))
     radius = max(radius, 0.5)
     rng = random.Random(0)
     zs = [
         radius * cmath.exp(2j * cmath.pi * (i + 0.35 + 0.01 * rng.random()) / n)
         for i in range(n)
     ]
+    zs = _aberth(cs, zs, 1e-13)
+    zs = _aberth([mpmath.mpmathify(c) for c in coeffs], [mpmath.mpc(z) for z in zs],
+                 step_tolerance())
+    return sorted(zs, key=lambda z: (round(z.real, 10), round(z.imag, 10)))
+
+
+def _aberth(cs, zs, tol):
+    """Aberth-Ehrlich corrections of the approximations zs to the roots of
+    sum cs[i] x^i, in whatever arithmetic cs and zs carry, until the largest
+    step relative to max(1, |z|) is below tol or after 500 iterations."""
+    lead = cs[-1]
+    cs = [c / lead for c in cs]
+    deriv = [i * c for i, c in enumerate(cs)][1:]
     for _ in range(500):
         moved = 0.0
         new = list(zs)
@@ -53,7 +78,6 @@ def aberth_roots(coeffs) -> list[complex]:
             new[i] = z - corr
             moved = max(moved, abs(corr) / max(1.0, abs(z)))
         zs = new
-        if moved < 1e-13:
+        if moved < tol:
             break
-    return sorted(zs, key=lambda z: (round(z.real, 10), round(z.imag, 10)))
-
+    return zs

@@ -17,14 +17,14 @@ from functools import cache
 import mpmath
 
 from .forms import delta, eisenstein_level1
-from .identities import J_SHIFT
-from .polys import RatPoly, _dense_eval, clear_denominators
+from .polys import RatPoly, clear_denominators
 from .qseries import QSeries
-from .roots import aberth_roots
+from .roots import aberth_roots, step_tolerance
 
 ARC_LOW = math.pi / 3
 ARC_HIGH = math.pi / 2
 DPS = 40  # decimal digits of every mpmath evaluation
+J_SHIFT = Fraction(432000, 691)  # j - J_SHIFT = E_12 / Delta
 
 
 @dataclass(frozen=True)
@@ -33,9 +33,6 @@ class MonomialExpansion:
 
     n: int
     coeffs: tuple[Fraction, ...]
-
-    def as_json(self) -> dict:
-        return {"n": self.n, "coeffs": [str(c) for c in self.coeffs]}
 
 
 def expand_E12n(n: int) -> MonomialExpansion:
@@ -256,31 +253,19 @@ class JAlgebraicityReport:
         }
 
 
-def _real_roots(poly: RatPoly, start: list[complex]) -> list | None:
-    """The deg(poly) roots of poly as sorted mpf reals, or None unless they
-    are that many distinct reals. The real part of each start root (from
-    aberth_roots, in double precision) is refined by Newton's method at DPS
-    digits, with P and P' by the Horner kernel on the coefficients rounded
-    once; a root counts once its Newton step falls below 10^(-DPS/2) of it,
-    and two roots closer than that count as one."""
+def _real_roots(roots: list) -> list | None:
+    """The real parts of roots (mpc from aberth_roots at DPS digits), sorted,
+    or None unless they are distinct reals: each imaginary part within the
+    step tolerance, and consecutive real parts apart by more than its square
+    root, so that the two approximations of a double root, which stay about
+    that far apart, count as one."""
     with mpmath.workdps(DPS):
-        cs = [mpmath.mpf(c.numerator) / c.denominator for c in poly.coeffs]
-        ds = [i * c for i, c in enumerate(cs)][1:]
-        eps, roots = mpmath.mpf(10) ** (-DPS // 2), []
-        for z in start:
-            x = mpmath.mpf(z.real)
-            for _ in range(100):
-                slope = _dense_eval(ds, x)
-                if slope == 0:  # a critical point: no Newton step
-                    return None
-                step = _dense_eval(cs, x) / slope
-                x -= step
-                if abs(step) <= eps * abs(x):
-                    roots.append(x)
-                    break
-        roots.sort()
-        distinct = all(b - a > eps * abs(b) for a, b in zip(roots, roots[1:]))
-        return roots if distinct and len(roots) == len(start) else None
+        eps = step_tolerance()
+        if any(abs(z.imag) > eps * max(1, abs(z)) for z in roots):
+            return None
+        xs, gap = sorted(z.real for z in roots), mpmath.sqrt(eps)
+        distinct = all(b - a > gap * max(1, abs(b)) for a, b in zip(xs, xs[1:]))
+        return xs if distinct else None
 
 
 def _pairing_distance(xs: list[complex], ys: list[complex]) -> float:
@@ -307,11 +292,10 @@ def jvalue_algebraicity_check(
     zeros = find_arc_zeros(12 * n, tol=tol_zero)
     with mpmath.workdps(DPS):
         jvals = [complex(jvalue_at(mpmath.exp(1j * mpmath.mpf(z.theta)))) for z in zeros]
-    start = aberth_roots(poly.coeffs)
-    refined = _real_roots(poly, start)  # Rankin-Swinnerton-Dyer: all real
-    shift = float(J_SHIFT)  # 432000/691, the exact j-shift constant
-    roots = [complex(r) + shift for r in refined or start]
-    found = len(zeros) == n and refined is not None
+        polished = aberth_roots(poly.coeffs)
+    real = _real_roots(polished)  # Rankin-Swinnerton-Dyer: all real
+    roots = [complex(r) + float(J_SHIFT) for r in real or polished]
+    found = len(zeros) == n and real is not None
     dist = _pairing_distance(jvals, roots) if found else math.inf
     status = "verified" if dist <= tol_match else "failed"
     return JAlgebraicityReport(n, expansion, zeros, jvals, roots, dist, status, tol_match)

@@ -261,6 +261,24 @@ def test_bounds_past_the_double_range_is_a_usage_error(capsys, weight, conductor
     assert f"weight {weight}" in err and "exceed the double range" in err
 
 
+@pytest.mark.parametrize("conductors", ["1,x", "3,,4", "1.5"])
+def test_bounds_with_a_malformed_conductor_list_is_a_usage_error(capsys, conductors):
+    code, out, err = run_cli(capsys, "bounds", "20", conductors, "--output", "json")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: conductors must be a comma-separated integer list such as 1,3,4,"
+        f" got {conductors!r}\n"
+    )
+
+
+@pytest.mark.parametrize("flag, value", [("--kmax", "-5"), ("--kmax", "0"), ("--lmax", "-2")])
+def test_finiteness_below_one_is_a_usage_error(capsys, flag, value):
+    argv = {"--a": "1", "--b": "1", flag: value}
+    code, out, err = run_cli(capsys, "finiteness", *[t for kv in argv.items() for t in kv])
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} must be at least 1, got {value}\n"
+
+
 def run_python(*args, timeout=60):
     """A fresh interpreter on this checkout's sources; a hang fails the test."""
     env = dict(os.environ)

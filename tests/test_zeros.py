@@ -9,9 +9,9 @@ import pytest
 from modforms import zeros
 from modforms.forms import delta, eisenstein_level1
 from modforms.identities import E24_A, E24_B
-from modforms.polys import RatPoly
+from modforms.polys import RatPoly, _dense_eval
 from modforms.qseries import QSeries
-from modforms.roots import aberth_roots
+from modforms.roots import aberth_roots, step_tolerance
 from modforms.zeros import (
     ARC_HIGH,
     ARC_LOW,
@@ -358,9 +358,10 @@ def test_jvalue_check_n10_verifies():
         assert len(report.zeros) == n
 
 
-@pytest.mark.parametrize("n", [16, 20, 28])
+@pytest.mark.parametrize("n", [16, 20, 28, 30, 32])
 def test_jvalue_check_verifies_past_double_precision(n):
-    # the double-precision Aberth roots alone miss 1e-8 from n = 16 on
+    # the double-precision Aberth roots alone miss 1e-8 from n = 16 on, and
+    # from n = 30 on some of them are not even near the real line
     report = jvalue_algebraicity_check(n)
     assert report.verified
     assert all(v.imag == 0 for v in report.poly_roots_shifted)
@@ -377,7 +378,8 @@ def test_jvalue_check_verifies_past_double_precision(n):
 )
 def test_real_roots_are_distinct_refined_reals_or_none(coeffs, expected):
     poly = RatPoly(coeffs)
-    roots = zeros._real_roots(poly, aberth_roots(poly.coeffs))
+    with mpmath.workdps(zeros.DPS):
+        roots = zeros._real_roots(aberth_roots(poly.coeffs))
     if expected is None:
         assert roots is None
         return
@@ -386,14 +388,32 @@ def test_real_roots_are_distinct_refined_reals_or_none(coeffs, expected):
         cs = [mpmath.mpf(c.numerator) / c.denominator for c in poly.coeffs]
         for r, e in zip(roots, expected):
             assert abs(r - e) < 1e-15
-            assert abs(zeros._dense_eval(cs, r)) < 1e-30
+            assert abs(_dense_eval(cs, r)) < 1e-30
+
+
+@pytest.mark.parametrize("n", [8, 16, 20, 30])
+def test_aberth_roots_are_polished_past_double_precision(n):
+    """Against mpmath.polyroots at 80 digits, the roots are good far past the
+    double-precision stage's 1.6e-8 at n = 16 and 2.9e-6 at n = 20; the
+    coefficients are rounded once to 40 digits, and the conditioning of the
+    polynomial costs up to 12 of them at n = 30 (8.5e-29)."""
+    coeffs = algebraic_poly(expand_E12n(n)).coeffs
+    with mpmath.workdps(80):
+        cs = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(coeffs)]
+        exact = sorted(mpmath.polyroots(cs, maxsteps=200, extraprec=400), key=lambda z: z.real)
+    with mpmath.workdps(zeros.DPS):
+        assert step_tolerance() == mpmath.mpf("1e-20")
+        found = sorted(aberth_roots(coeffs), key=lambda z: z.real)
+    assert all(isinstance(z, mpmath.mpc) for z in found)
+    with mpmath.workdps(80):
+        assert max(abs(a - b) / max(1, abs(b)) for a, b in zip(found, exact)) < 1e-24
 
 
 def test_check_fails_without_distinct_real_roots(monkeypatch):
-    monkeypatch.setattr(zeros, "_real_roots", lambda poly, start: None)
+    monkeypatch.setattr(zeros, "_real_roots", lambda roots: None)
     report = jvalue_algebraicity_check(2)
     assert report.status == "failed" and report.max_pair_distance == math.inf
-    assert len(report.poly_roots_shifted) == 2  # the unrefined Aberth roots
+    assert len(report.poly_roots_shifted) == 2  # the Aberth roots as found
 
 
 def test_jvalues_build_e4_and_e6_once(monkeypatch):
