@@ -4,12 +4,9 @@ generalized Bernoulli numbers, and twisted divisor sums."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-
-import mpmath
 
 from .arith import divisors, factorize
 from .numfield import NumberField, NumberFieldElement, cyclotomic_field
@@ -338,6 +335,7 @@ def abs_embed(x: NumberFieldElement | Fraction | int) -> float:
     m = x.parent.zeta_order
     if m is None:
         raise ValueError("absolute value is defined for cyclotomic elements")
+    import mpmath
     bits = max(max(abs(c.numerator).bit_length(), c.denominator.bit_length()) for c in x.coords)
     prec = bits + 106
     while True:

@@ -4,8 +4,8 @@ characters."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import sigma
 from .dirichlet import (
@@ -23,8 +23,7 @@ from .polys import _binary_power, _dense_mul
 from .qseries import QSeries
 
 
-@dataclass(frozen=True)
-class ModularForm:
+class ModularForm(NamedTuple):
     weight: int
     level: int
     character: DirichletCharacter
@@ -100,8 +99,7 @@ def jfunction(prec: int) -> QSeries:
     return (e4**3) * delta_over_q.inverse()
 
 
-@dataclass(frozen=True)
-class SpaceBasis:
+class SpaceBasis(NamedTuple):
     weight: int
     forms: tuple[ModularForm, ...]
     prec: int

@@ -4,8 +4,8 @@ characteristic polynomials, and normalized eigenbases over number fields."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import divisors
 from .dirichlet import DirichletCharacter
@@ -64,8 +64,7 @@ def hecke_action(
     return QSeries(field, out, prec)
 
 
-@dataclass(frozen=True)
-class HeckeMatrix:
+class HeckeMatrix(NamedTuple):
     index: int
     weight: int
     entries: tuple[tuple[Fraction, ...], ...]
@@ -135,8 +134,7 @@ def certified_charpoly(
     return n, matrix, cp, cert
 
 
-@dataclass(frozen=True)
-class Eigenform:
+class Eigenform(NamedTuple):
     weight: int
     field: object  # QQ or NumberField
     series: QSeries

@@ -3,8 +3,8 @@ decomposition of eigenform squares against a normalized eigenbasis."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import sigma, squarefree_kernel
 from .forms import delta, dim_Sk, eisenstein_level1
@@ -45,14 +45,13 @@ TABLE2_FIELD_DISCS = {
 }
 
 
-@dataclass
-class IdentityReport:
+class IdentityReport(NamedTuple):
     name: str
     status: str  # "verified" | "failed"
     prec: int
     first_failure: int | None = None
     detail: str = ""
-    discrepancies: list[dict] = dataclass_field(default_factory=list)
+    discrepancies: tuple[dict, ...] = ()
 
     @property
     def verified(self) -> bool:
@@ -65,7 +64,7 @@ class IdentityReport:
             "prec": self.prec,
             "first_failure": self.first_failure,
             "detail": self.detail,
-            "discrepancies": self.discrepancies,
+            "discrepancies": list(self.discrepancies),
         }
 
 
@@ -154,11 +153,10 @@ def verify_product_identity(name: str, prec: int) -> IdentityReport:
     h, f, g = series(prec)
     a, b = solve_product_identity(h, f, g)
     report = verify_quadratic_identity(name, h, f, g, a, b)
-    report.detail = f"a = {a}, b = {b}"
     if (a, b) != reference:
-        report.status = "failed"
-        report.detail += " (reference constants not reproduced)"
-    return report
+        detail = f"a = {a}, b = {b} (reference constants not reproduced)"
+        return report._replace(status="failed", detail=detail)
+    return report._replace(detail=f"a = {a}, b = {b}")
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +176,7 @@ def verify_product_identity(name: str, prec: int) -> IdentityReport:
 # s_l = Tr(c x^l) = sum_m c_m t_(m+l).
 
 
-@dataclass
-class EigenDecomposition:
+class EigenDecomposition(NamedTuple):
     weight: int
     base_field: object
     hecke_field: object
@@ -259,8 +256,7 @@ def decompose_square(f: Eigenform, prec: int | None = None) -> EigenDecompositio
     return decompose_in_eigenbasis(fsq, 2 * f.weight, prec=prec)
 
 
-@dataclass
-class NonvanishingReport:
+class NonvanishingReport(NamedTuple):
     weight: int
     square_weight: int
     dim: int
@@ -414,7 +410,7 @@ def verify_table1() -> IdentityReport:
         status,
         TABLE1_PREC,
         detail=f"row1: {detail1}; row2: {detail2}",
-        discrepancies=discrepancies,
+        discrepancies=tuple(discrepancies),
     )
 
 

@@ -5,10 +5,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .arith import divisors, factorize, iter_primes
 
@@ -448,8 +447,7 @@ def _zip_pad(a: list[int], b: list[int]) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IrreducibilityCertificate:
+class IrreducibilityCertificate(NamedTuple):
     """Outcome of poly_irreducible with the data it was decided on.
 
     discriminant is disc(p); patterns maps each of the first prime_count
@@ -460,9 +458,9 @@ class IrreducibilityCertificate:
 
     status: str  # "irreducible" | "reducible" | "unknown"
     discriminant: Fraction
+    patterns: dict[int, tuple[int, ...]]
     witness_prime: int | None = None
     witness_root: Fraction | None = None
-    patterns: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
     @property
     def is_irreducible(self) -> bool:
@@ -538,7 +536,7 @@ def poly_irreducible(p: RatPoly, prime_count: int = 30) -> IrreducibilityCertifi
         raise ValueError("degree >= 1 required")
     disc = discriminant(p)
     if d == 1:
-        return IrreducibilityCertificate("irreducible", disc)
+        return IrreducibilityCertificate("irreducible", disc, {})
     den, _ = clear_denominators(p.coeffs)
     bad = den * p.lead.numerator * disc.numerator  # 0 when p is not squarefree
     patterns: dict[int, tuple[int, ...]] = {}

@@ -5,11 +5,9 @@ and Hecke-field discriminant coprimality."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import mpmath
+from typing import NamedTuple
 
 from .arith import factorize, quad_field_discriminant, squarefree_kernel
 from .dirichlet import (
@@ -36,6 +34,7 @@ def zeta_direct(s: int) -> float:
     """zeta(s) for integer s >= 3 as a double, from mpmath at 30 digits."""
     if s < 3:
         raise ValueError("s >= 3 required (the bound checks never need less)")
+    import mpmath
     with mpmath.workdps(30):
         return float(mpmath.zeta(s))
 
@@ -61,8 +60,7 @@ def _factorial_over_power(k: int) -> float:
     return math.exp(math.lgamma(k + 1) - k * math.log(2 * math.pi))
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     k: int
     conductor: int
     holds: bool
@@ -158,8 +156,7 @@ def conductor_cutoff(k: int, b_abs: float) -> int:
     return l
 
 
-@dataclass(frozen=True)
-class ScanCell:
+class ScanCell(NamedTuple):
     k: int
     conductor: int
     exponents: tuple[int, ...]
@@ -180,8 +177,7 @@ class ScanCell:
         }
 
 
-@dataclass
-class FinitenessReport:
+class FinitenessReport(NamedTuple):
     a: Fraction
     b: Fraction
     k_bound: int
@@ -291,8 +287,7 @@ def finiteness_scan(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MaedaReport:
+class MaedaReport(NamedTuple):
     """The discriminant and cycle-type flags read the certificate; the report
     of a one-dimensional space has no certificate and every flag set."""
 
@@ -398,8 +393,7 @@ def maeda_check(k: int) -> MaedaReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SharedPrimeFinding:
+class SharedPrimeFinding(NamedTuple):
     p: int
     ramified_in_quadratic: bool
     index_divisor_in_double: bool | None
@@ -414,8 +408,7 @@ class SharedPrimeFinding:
         }
 
 
-@dataclass
-class IntersectionReport:
+class IntersectionReport(NamedTuple):
     k: int
     pair: tuple[int, int]
     verdict: str  # "coprime" | "common-ramification" | "unknown"

@@ -10,11 +10,9 @@ j-values against the roots of the associated monic rational polynomial.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-
-import mpmath
+from typing import NamedTuple
 
 from .forms import delta, eisenstein_level1
 from .polys import RatPoly, clear_denominators
@@ -27,8 +25,7 @@ DPS = 40  # decimal digits of every mpmath evaluation
 J_SHIFT = Fraction(432000, 691)  # j - J_SHIFT = E_12 / Delta
 
 
-@dataclass(frozen=True)
-class MonomialExpansion:
+class MonomialExpansion(NamedTuple):
     """E_{12n} = sum_l a_l E_12^(n-l) Delta^l with a_0 = 1 and all a_l in Q."""
 
     n: int
@@ -107,6 +104,7 @@ class SeriesEvaluator:
         """The sum at q, |q| < 1, as an mpc at DPS digits: q is rounded to 20
         bits past the working precision, and each Horner step floors once at
         that scale, so the integer sum is off by under sqrt(2) / (1 - |q|)."""
+        import mpmath
         with mpmath.workdps(DPS):
             q, bits = mpmath.mpmathify(q), mpmath.mp.prec + 20
             with mpmath.workprec(bits + 2):  # nint is exact here, as |q| < 1
@@ -119,6 +117,7 @@ class SeriesEvaluator:
     def at(self, z):
         """(value, tail bound) at q = exp(2 pi i z), for Im(z) >= 0.85, where
         |q| <= 0.00482 and the tail is controlled."""
+        import mpmath
         with mpmath.workdps(DPS):
             z = mpmath.mpc(z)
             if z.imag < 0.85:
@@ -129,6 +128,7 @@ class SeriesEvaluator:
     def tail_bound(self, r) -> float:
         """Bound on |sum_{n >= prec} a_n q^n| over |q| <= r, from
         (1 + j/P)^e <= exp(j e/P): a geometric series of ratio r exp(e/P)."""
+        import mpmath
         P, e = self.prec, self.exponent
         with mpmath.workdps(DPS):
             r = mpmath.mpf(r)
@@ -148,14 +148,14 @@ def _e4_e6_evaluators() -> tuple[SeriesEvaluator, SeriesEvaluator]:
 
 def jvalue_at(z):
     """j(z) = E_4(z)^3 / Delta(z) with Delta recovered from E_4 and E_6."""
+    import mpmath
     with mpmath.workdps(DPS):
         e4, e6 = (evaluate.at(z)[0] for evaluate in _e4_e6_evaluators())
         dlt = (e4**3 - e6**2) / 1728
         return e4**3 / dlt
 
 
-@dataclass(frozen=True)
-class ArcZero:
+class ArcZero(NamedTuple):
     theta: float
     residual: float
 
@@ -165,6 +165,7 @@ class ArcZero:
 
 def arc_function(k: int):
     """theta -> exp(ik theta/2) E_k(exp(i theta)), real on the arc."""
+    import mpmath
     evaluate = SeriesEvaluator(eisenstein_level1(k, max(k + 10, 40)).series, k)
     with mpmath.workdps(DPS):
         # |q| is largest at the arc's low end, where Im(z) = sin(pi/3)
@@ -196,6 +197,7 @@ def find_arc_zeros(k: int, tol: float = 1e-12) -> list[ArcZero]:
         raise ValueError("arc-zero search is defined for weights divisible by 12")
     if not tol > 0:
         raise ValueError(f"zero tolerance must be positive, got {tol}")
+    import mpmath
     f = arc_function(k)
     with mpmath.workdps(DPS):
         grid = [2 * mpmath.pi * m / k for m in range(k // 6, k // 4 + 1)]
@@ -225,8 +227,7 @@ def find_arc_zeros(k: int, tol: float = 1e-12) -> list[ArcZero]:
         return zeros
 
 
-@dataclass
-class JAlgebraicityReport:
+class JAlgebraicityReport(NamedTuple):
     n: int
     expansion: MonomialExpansion
     zeros: list[ArcZero]
@@ -259,6 +260,7 @@ def _real_roots(roots: list) -> list | None:
     step tolerance, and consecutive real parts apart by more than its square
     root, so that the two approximations of a double root, which stay about
     that far apart, count as one."""
+    import mpmath
     with mpmath.workdps(DPS):
         eps = step_tolerance()
         if any(abs(z.imag) > eps * max(1, abs(z)) for z in roots):
@@ -287,6 +289,7 @@ def jvalue_algebraicity_check(
     exact monomial polynomial shifted by 432000/691."""
     if not 0 < tol_match < math.inf:
         raise ValueError(f"match tolerance must be positive and finite, got {tol_match}")
+    import mpmath
     expansion = expand_E12n(n)
     poly = algebraic_poly(expansion)
     zeros = find_arc_zeros(12 * n, tol=tol_zero)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from modforms import hecke, scans
+from modforms import hecke, identities, scans
 from modforms.cli import main
 from modforms.polys import RatPoly, poly_irreducible
 
@@ -70,6 +70,16 @@ def test_verify_all_exit_zero(capsys):
     assert code == 0
     assert "VERIFIED" in out
     assert "discrepancy" in out  # the reference-table discrepancies are surfaced
+
+
+def test_verify_exits_one_when_the_reference_constants_are_not_reproduced(capsys, monkeypatch):
+    series, (a, b) = identities.PRODUCT_IDENTITIES["e24"]
+    monkeypatch.setitem(identities.PRODUCT_IDENTITIES, "e24", (series, (a, b + 1)))
+    code, out, _ = run_cli(capsys, "verify", "e24", "--prec", "20", "--output", "json")
+    assert code == 1
+    [report] = json.loads(out)["reports"]
+    assert (report["status"], report["first_failure"]) == ("failed", None)
+    assert report["detail"] == f"a = {a}, b = {b} (reference constants not reproduced)"
 
 
 def test_zeros_subcommand(capsys):
@@ -293,6 +303,23 @@ def test_cli_import_does_not_load_numpy():
     result = run_python("-c", "import sys, modforms.cli; print('numpy' in sys.modules)")
     assert result.returncode == 0
     assert result.stdout.strip() == "False"
+
+
+def test_cli_import_loads_every_layer_but_not_mpmath_or_dataclasses():
+    """Importing the CLI binds every layer, which the benchmark tracer relies
+    on; mpmath waits for the first numeric evaluation, and the records are
+    NamedTuples, so neither mpmath nor dataclasses is loaded."""
+    package = Path(__file__).resolve().parent.parent / "src" / "modforms"
+    layers = sorted(f"modforms.{p.stem}" for p in package.glob("*.py") if p.stem != "__init__")
+    result = run_python(
+        "-c",
+        "import json, sys, modforms.cli; "
+        "print(json.dumps([sorted(sys.modules), 'mpmath' in sys.modules, 'dataclasses' in sys.modules]))",
+    )
+    assert result.returncode == 0, result.stderr
+    loaded, mpmath_loaded, dataclasses_loaded = json.loads(result.stdout)
+    assert [name for name in layers if name not in loaded] == []
+    assert (mpmath_loaded, dataclasses_loaded) == (False, False)
 
 
 def test_zero_tolerance_below_the_working_precision_finishes():

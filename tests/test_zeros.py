@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from modforms import zeros
+from modforms import roots, zeros
 from modforms.forms import delta, eisenstein_level1
 from modforms.identities import E24_A, E24_B
 from modforms.polys import RatPoly, _dense_eval
@@ -394,7 +394,7 @@ def test_real_roots_are_distinct_refined_reals_or_none(coeffs, expected):
 @pytest.mark.parametrize("n", [8, 16, 20, 30])
 def test_aberth_roots_are_polished_past_double_precision(n):
     """Against mpmath.polyroots at 80 digits, the roots are good far past the
-    double-precision stage's 1.6e-8 at n = 16 and 2.9e-6 at n = 20; the
+    double-precision stage's 3.2e-11 at n = 16 and 5.6e-9 at n = 20; the
     coefficients are rounded once to 40 digits, and the conditioning of the
     polynomial costs up to 12 of them at n = 30 (8.5e-29)."""
     coeffs = algebraic_poly(expand_E12n(n)).coeffs
@@ -407,6 +407,27 @@ def test_aberth_roots_are_polished_past_double_precision(n):
     assert all(isinstance(z, mpmath.mpc) for z in found)
     with mpmath.workdps(80):
         assert max(abs(a - b) / max(1, abs(b)) for a, b in zip(found, exact)) < 1e-24
+
+
+@pytest.mark.parametrize("n", [16, 30])
+def test_double_stage_stops_once_its_step_stops_shrinking(monkeypatch, n):
+    """From n = 16 on, rounding noise keeps the double-precision step above
+    1e-13; the stage ends where the step stops shrinking, within tens of
+    passes instead of all 500, and the working-precision stage finishes."""
+    passes = []
+    original = roots._aberth
+
+    def counted(cs, zs):
+        passes.append(0)
+        for item in original(cs, zs):
+            passes[-1] += 1
+            yield item
+
+    monkeypatch.setattr(roots, "_aberth", counted)
+    with mpmath.workdps(zeros.DPS):
+        assert zeros._real_roots(aberth_roots(algebraic_poly(expand_E12n(n)).coeffs))
+    double, working = passes
+    assert double < 100 and working < 20
 
 
 def test_check_fails_without_distinct_real_roots(monkeypatch):
