@@ -154,12 +154,14 @@ def _iroot(n: int, e: int) -> int:
 
 
 def _int_nth_root_exact(n: int) -> tuple[int, int] | None:
-    """If n = b**e for some e >= 2, return (b, e) with e maximal; else None."""
-    for e in range(n.bit_length(), 1, -1):
+    """If n = b**e for some e >= 2, return (b, e) with e the least such prime;
+    else None. b may itself be a perfect power: factorize examines it again."""
+    for e in iter_primes():
+        if e > n.bit_length():
+            return None
         b = _iroot(n, e)
-        if b > 1 and b**e == n:
+        if b**e == n:
             return b, e
-    return None
 
 
 def divisors(n: int) -> list[int]:

@@ -9,6 +9,7 @@ from functools import lru_cache
 from itertools import product
 
 from .arith import divisors, factorize
+from .linalg import weighted_sum
 from .numfield import NumberField, NumberFieldElement, cyclotomic_field
 from .polys import RatPoly, _dense_eval, clear_denominators
 
@@ -308,16 +309,12 @@ def sigma_gen(
     if n < 1:
         raise ValueError("n must be positive")
     field = compositum_field(psi, phi)
-    total = field.zero()
-    for m in divisors(n):
-        a = psi.value_in(field, n // m)
-        if a.is_zero():
-            continue
-        b = phi.value_in(field, m)
-        if b.is_zero():
-            continue
-        total = total + a * b * Fraction(m) ** kminus1
-    return total
+    ms = divisors(n)
+    return weighted_sum(
+        [Fraction(m) ** kminus1 for m in ms],
+        [psi.value_in(field, n // m) * phi.value_in(field, m) for m in ms],
+        field.zero(),
+    )
 
 
 def compositum_field(psi: DirichletCharacter, phi: DirichletCharacter) -> NumberField:

@@ -3,7 +3,6 @@ characteristic polynomials, and normalized eigenbases over number fields."""
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -30,9 +29,10 @@ def hecke_action(
 ) -> QSeries:
     """Apply T_m to a q-expansion of weight k.
 
-    Coefficientwise: the n-th output is the sum over m1 | gcd(m, n) of
-    chi(m1) m1^(k-1) a_{mn/m1^2}, for every n >= 0 (at n = 0, gcd(m, 0) = m).
-    The input must carry at least m*(prec-1)+1 coefficients.
+    Coefficientwise: the n-th output is the sum over d | gcd(m, n) of
+    chi(d) d^(k-1) a_{mn/d^2}, for every n >= 0 (at n = 0, gcd(m, 0) = m):
+    one weighted_sum against the weights chi(d) d^(k-1), built once per
+    operator. The input must carry at least m*(prec-1)+1 coefficients.
     """
     if m < 1:
         raise ValueError("operator index must be positive")
@@ -44,23 +44,24 @@ def hecke_action(
             f"insufficient precision: T_{m} to {prec} terms needs {required}, have {series.prec}"
         )
     field = series.field
-
-    def chi_val(n: int):
+    weights = []  # (d, chi(d) d^(k-1)) for the divisors d of m with chi(d) != 0
+    for d in divisors(m):
         if chi is None:
-            return Fraction(1)
-        if field is QQ:
-            return chi.rational_value(n)
-        return chi.value_in(field, n)
-
+            c = Fraction(1)
+        else:
+            c = chi.rational_value(d) if field is QQ else chi.value_in(field, d)
+        if c != 0:
+            weights.append((d, c * Fraction(d) ** (k - 1)))
     out = []
     for n in range(prec):
-        s = field.zero()
-        for m1 in divisors(math.gcd(m, n)):
-            v = chi_val(m1)
-            if v == 0:
-                continue
-            s = s + v * Fraction(m1) ** (k - 1) * series.coeff(m * n // (m1 * m1))
-        out.append(s)
+        terms = [(d, w) for d, w in weights if n % d == 0]
+        out.append(
+            weighted_sum(
+                [series.coeff(m * n // (d * d)) for d, _ in terms],
+                [w for _, w in terms],
+                field.zero(),
+            )
+        )
     return QSeries(field, out, prec)
 
 

@@ -58,14 +58,7 @@ class IdentityReport(NamedTuple):
         return self.status == "verified"
 
     def as_json(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "prec": self.prec,
-            "first_failure": self.first_failure,
-            "detail": self.detail,
-            "discrepancies": list(self.discrepancies),
-        }
+        return self._asdict()
 
 
 def verify_quadratic_identity(

@@ -9,17 +9,14 @@ from .polys import RatPoly
 
 
 def mat_mul(a, b):
-    n, m, p = len(a), len(b), len(b[0])
-    assert len(a[0]) == m
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(m)), Fraction(0)) for j in range(p)]
-        for i in range(n)
-    ]
+    assert len(a[0]) == len(b)
+    cols = list(zip(*b))
+    return [[weighted_sum(row, col, Fraction(0)) for col in cols] for row in a]
 
 
 def weighted_sum(elems, weights, zero):
-    """sum_i elems[i] * weights[i] for field elements and rational weights,
-    skipping zero weights."""
+    """sum_i elems[i] * weights[i] for ring elements and weights, skipping
+    zero weights: the one dot product of every exact linear combination."""
     acc = zero
     for e, w in zip(elems, weights):
         if w != 0:

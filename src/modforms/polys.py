@@ -7,6 +7,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import zip_longest
 from typing import Iterable, NamedTuple, Sequence
 
 from .arith import divisors, factorize, iter_primes
@@ -427,7 +428,7 @@ def factor_degrees_mod_p(p: RatPoly, q: int) -> list[int]:
     while len(f) - 1 >= 2 * (d + 1):
         d += 1
         frob = _ppowmod(frob, q, f, q)
-        g = _pgcd([(a - b) % q for a, b in _zip_pad(frob, x)], f, q)
+        g = _pgcd([(a - b) % q for a, b in zip_longest(frob, x, fillvalue=0)], f, q)
         if len(g) > 1:
             degrees.extend([d] * ((len(g) - 1) // d))
             f = _pdivmod(f, g, q)[0]
@@ -435,11 +436,6 @@ def factor_degrees_mod_p(p: RatPoly, q: int) -> list[int]:
     if len(f) > 1:
         degrees.append(len(f) - 1)
     return sorted(degrees)
-
-
-def _zip_pad(a: list[int], b: list[int]) -> list[tuple[int, int]]:
-    n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else 0, b[i] if i < len(b) else 0) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------

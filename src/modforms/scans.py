@@ -20,12 +20,7 @@ from .forms import dim_Sk
 # hecke_matrix stays bound here: perfbench/tests/test_bench_tracer.py checks
 # that the tracer replaces this binding along with the one in modforms.hecke
 from .hecke import certified_charpoly, hecke_matrix  # noqa: F401
-from .numfield import (
-    NumberFieldElement,
-    cyclotomic_field,
-    dedekind_index_test,
-    embed_cyclotomic,
-)
+from .numfield import NumberFieldElement, dedekind_index_test, embed_cyclotomic
 from .polys import IrreducibilityCertificate, RatPoly
 
 
@@ -209,9 +204,9 @@ class FinitenessReport(NamedTuple):
 def _q1_relation_holds(
     b: Fraction, alpha: NumberFieldElement, beta: NumberFieldElement
 ) -> bool:
-    """b + 2 beta = alpha, exactly, in the cyclotomic field holding both."""
-    field = cyclotomic_field(math.lcm(alpha.parent.zeta_order, beta.parent.zeta_order))
-    return field.coerce(b) + 2 * embed_cyclotomic(beta, field) == embed_cyclotomic(alpha, field)
+    """b + 2 beta = alpha, exactly, in beta's field Q(zeta_ord(phi)), which
+    holds alpha in Q(zeta_ord(phi^2)) since ord(phi^2) divides ord(phi)."""
+    return beta.parent.coerce(b) + 2 * beta == embed_cyclotomic(alpha, beta.parent)
 
 
 def eq12_holds_exactly(b: Fraction, k: int, phi: DirichletCharacter) -> bool:
@@ -400,12 +395,7 @@ class SharedPrimeFinding(NamedTuple):
     conclusion: str  # "clear" | "common-ramification" | "unknown"
 
     def as_json(self) -> dict:
-        return {
-            "p": self.p,
-            "ramified_in_quadratic": self.ramified_in_quadratic,
-            "index_divisor_in_double": self.index_divisor_in_double,
-            "conclusion": self.conclusion,
-        }
+        return self._asdict()
 
 
 class IntersectionReport(NamedTuple):

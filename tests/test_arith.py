@@ -1,6 +1,12 @@
+import random
+
 import pytest
 
+from modforms import arith
 from modforms.arith import (
+    _int_nth_root_exact,
+    _iroot,
+    _pollard_brent,
     divisors,
     factorize,
     is_probable_prime,
@@ -65,3 +71,67 @@ def test_quad_field_discriminant():
         quad_field_discriminant(1)
     with pytest.raises(ValueError):
         quad_field_discriminant(12)  # not squarefree
+
+
+def int_nth_root_scan(n):
+    """The former perfect-power test, kept as its oracle: every exponent from
+    the bit length down to 2, so the exponent it returns is maximal."""
+    for e in range(n.bit_length(), 1, -1):
+        b = _iroot(n, e)
+        if b > 1 and b**e == n:
+            return b, e
+    return None
+
+
+def _least_prime_factor(n):
+    return next(p for p in range(2, n + 1) if n % p == 0)
+
+
+# 1009 * 1013 and 101 * 103 * 107 are composite, with every factor above the
+# trial bound of 100 used below, so their powers reach the rho stage
+POWER_BASES = [2, 3, 7, 10, 12, 1000003, 1009 * 1013, 101 * 103 * 107]
+
+
+@pytest.mark.parametrize("b", POWER_BASES)
+@pytest.mark.parametrize("e", [1, 2, 3, 4, 5, 6, 12])
+def test_perfect_power_by_the_least_prime_exponent(b, e):
+    n = b**e
+    scan = int_nth_root_scan(n)
+    if scan is None:
+        assert _int_nth_root_exact(n) is None
+        return
+    base, exp = scan  # base is no perfect power, and n = base**exp
+    p = _least_prime_factor(exp)
+    assert _int_nth_root_exact(n) == (base ** (exp // p), p)
+    assert (_int_nth_root_exact(n + 1) is None) == (int_nth_root_scan(n + 1) is None)
+
+
+def _factor_with_rho_calls(monkeypatch, n, root):
+    calls = []
+
+    def recorded(m, seed=1, max_iter=arith.DEFAULT_RHO_ITERATIONS):
+        calls.append((m, seed))
+        return _pollard_brent(m, seed, max_iter)
+
+    monkeypatch.setattr(arith, "_pollard_brent", recorded)
+    monkeypatch.setattr(arith, "_int_nth_root_exact", root)
+    return arith.factorize(n, trial_bound=100), calls
+
+
+def test_prime_exponents_keep_factorize_and_its_rho_calls(monkeypatch):
+    rng = random.Random(15)
+    primes = [101, 103, 107, 109, 1009, 1013, 1000003]
+    cases = [b**e for b in POWER_BASES for e in (4, 6, 12)]
+    cases += [101**4 * 103**6, (1009 * 1013) ** 6 * 107**3, 2**12 * (101 * 103) ** 4]
+    for _ in range(60):
+        base = 1
+        for p in rng.sample(primes, rng.randint(1, 3)):
+            base *= p ** rng.randint(1, 3)
+        cases.append(base ** rng.choice([2, 3, 4, 6, 8, 9, 12]))
+    rho_calls = 0
+    for n in cases:
+        new = _factor_with_rho_calls(monkeypatch, n, _int_nth_root_exact)
+        old = _factor_with_rho_calls(monkeypatch, n, int_nth_root_scan)
+        assert new == old, n
+        rho_calls += len(new[1])
+    assert rho_calls > 100

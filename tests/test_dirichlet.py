@@ -2,11 +2,13 @@ import cmath
 import math
 from fractions import Fraction
 
+from modforms.arith import divisors
 from modforms.dirichlet import (
     abs_embed,
     bernoulli_number,
     bernoulli_polynomial,
     characters_mod,
+    compositum_field,
     gen_bernoulli,
     induce,
     sigma_gen,
@@ -188,6 +190,34 @@ def test_sigma_gen_examples():
     assert sigma_gen(3, triv, triv, 2).as_rational() == 9
     odd = odd_character_mod4()
     assert sigma_gen(1, triv, odd, 5).as_rational() == 6
+
+
+def sigma_gen_loop(kminus1, psi, phi, n):
+    """The former divisor loop of sigma_gen, kept as its oracle: it skips a
+    zero psi(n/m) before reading phi(m), then a zero phi(m)."""
+    field = compositum_field(psi, phi)
+    total = field.zero()
+    for m in divisors(n):
+        a = psi.value_in(field, n // m)
+        if a.is_zero():
+            continue
+        b = phi.value_in(field, m)
+        if b.is_zero():
+            continue
+        total = total + a * b * Fraction(m) ** kminus1
+    return total
+
+
+def test_sigma_gen_matches_the_divisor_loop():
+    for N1, N2 in ((1, 1), (1, 4), (3, 1), (1, 5), (5, 3), (4, 7), (1, 13)):
+        for psi in characters_mod(N1):
+            for phi in characters_mod(N2):
+                for kminus1 in (0, 2, 5):
+                    for n in range(1, 31):
+                        got = sigma_gen(kminus1, psi, phi, n)
+                        expected = sigma_gen_loop(kminus1, psi, phi, n)
+                        assert got == expected, (psi, phi, kminus1, n)
+                        assert got.parent.zeta_order == expected.parent.zeta_order
 
 
 def test_abs_embed():

@@ -1,9 +1,10 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from modforms.dirichlet import characters_mod, trivial_character
-from modforms.forms import delta, dim_Sk, eisenstein_level1, eisenstein_levelN
+from modforms.forms import delta, dim_Sk, eisenstein_level1, eisenstein_levelN, miller_basis
 from modforms.hecke import (
     charpoly,
     eigenbasis,
@@ -15,6 +16,7 @@ from modforms.hecke import (
 from modforms.linalg import mat_mul
 from modforms.numfield import QQ
 from modforms.polys import RatPoly
+from modforms.qseries import QSeries
 from modforms.scans import maeda_check
 
 
@@ -212,3 +214,69 @@ def test_hecke_matrix_rejects_nonpositive_index_before_building_a_basis():
     for n in (0, -2):
         with pytest.raises(ValueError, match="operator index must be positive"):
             hecke_matrix(n, 24)
+
+
+def hecke_action_loop(series, m, k, chi=None):
+    """The former per-coefficient loop of hecke_action, kept as its oracle: for
+    every output coefficient n it lists the divisors of gcd(m, n) and reads
+    chi on each of them afresh."""
+    from modforms.arith import divisors
+
+    field = series.field
+    out = []
+    for n in range((series.prec - 1) // m + 1):
+        s = field.zero()
+        for m1 in divisors(math.gcd(m, n)):
+            if chi is None:
+                v = Fraction(1)
+            elif field is QQ:
+                v = chi.rational_value(m1)
+            else:
+                v = chi.value_in(field, m1)
+            if v == 0:
+                continue
+            s = s + v * Fraction(m1) ** (k - 1) * series.coeff(m * n // (m1 * m1))
+        out.append(s)
+    return QSeries(field, out)
+
+
+def _assert_action_matches_the_loop(series, k, chi=None):
+    for m in range(1, 13):
+        image = hecke_action(series, m, k, chi=chi)
+        expected = hecke_action_loop(series, m, k, chi)
+        assert image == expected, (m, k)
+        assert image.as_json() == expected.as_json()
+
+
+@pytest.mark.parametrize("k", [4, 12, 24, 36])
+def test_action_matches_the_loop_without_a_character(k):
+    # 61 coefficients give T_12 six output terms
+    _assert_action_matches_the_loop(eisenstein_level1(k, 61).series, k)
+    _assert_action_matches_the_loop(miller_basis(k, 61).forms[-1].series, k)
+    _assert_action_matches_the_loop(eisenstein_level1(k, 61).series, k, trivial_character(1))
+
+
+def test_action_matches_the_loop_over_a_hecke_field():
+    g = eigenbasis(24, prec=61)[0]
+    assert g.field.degree == 2
+    _assert_action_matches_the_loop(g.series, 24)
+
+
+@pytest.mark.parametrize("modulus", [3, 4, 5, 8, 12])
+def test_action_matches_the_loop_for_real_characters_over_q(modulus):
+    for phi in characters_mod(modulus):
+        if phi.order != 2 or not phi.is_primitive():
+            continue
+        for k in (3, 5) if phi.parity() == -1 else (4, 6):
+            form = eisenstein_levelN(trivial_character(1), phi, 1, k, 61)
+            series = form.series.map_coefficients(QQ, QQ.coerce)
+            _assert_action_matches_the_loop(series, k, form.character)
+
+
+@pytest.mark.parametrize("modulus,order", [(5, 4), (7, 6), (11, 5), (13, 12), (9, 3)])
+def test_action_matches_the_loop_for_complex_characters_over_cyclotomic_fields(modulus, order):
+    phi = next(c for c in characters_mod(modulus) if c.order == order and c.is_primitive())
+    for k in (3, 5) if phi.parity() == -1 else (4, 6):
+        form = eisenstein_levelN(trivial_character(1), phi, 1, k, 61)
+        assert form.series.field.zeta_order == order
+        _assert_action_matches_the_loop(form.series, k, form.character)

@@ -1,6 +1,6 @@
 """Differential tests of the dense kernels in modforms.polys against sympy.Poly
 over QQ, plus square-and-multiply against repeated multiplication, and of the
-row reduction in modforms.linalg against sympy.Matrix.rref. The integer path
+row reduction and matrix product in modforms.linalg against sympy.Matrix. The integer path
 of the product over Q, the Newton series inverse and the Bareiss extended gcd
 are also checked against the Fraction loop, the coefficient recurrence and
 the Euclidean loop they replaced, the number-field reduction against
@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from sympy.polys.subresultants_qq_zz import res_q
 
 from modforms.hecke import certified_charpoly
-from modforms.linalg import invert_rational, kernel_vector, row_reduce
+from modforms.linalg import invert_rational, kernel_vector, mat_mul, row_reduce
 from modforms.numfield import QQ, NumberField, cyclotomic_field, embed_cyclotomic
 from modforms.polys import (
     RatPoly,
@@ -319,6 +319,17 @@ def test_invert_rational_matches_sympy(m):
             invert_rational(m)
     else:
         assert invert_rational(m) == from_sympy_matrix(a.inv())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)).flatmap(
+        lambda t: st.tuples(_matrices(t[0], t[1]), _matrices(t[1], t[2]))
+    )
+)
+def test_mat_mul_matches_sympy(ab):
+    a, b = ab
+    assert mat_mul(a, b) == from_sympy_matrix(to_sympy_matrix(a) * to_sympy_matrix(b))
 
 
 @settings(max_examples=150, deadline=None)
