@@ -68,7 +68,6 @@ from .polys import (
     discriminant,
     factor_degrees_mod_p,
     poly_irreducible,
-    resultant,
 )
 from .qseries import QSeries
 from .scans import (

@@ -46,34 +46,38 @@ def iter_primes() -> Iterator[int]:
 
 def _pollard_brent(n: int, seed: int = 1, max_iter: int = DEFAULT_RHO_ITERATIONS) -> int | None:
     """Brent-cycle Pollard rho on an odd composite n; returns a nontrivial
-    factor or None on cap."""
-    y, c, m = (seed % (n - 1)) + 1, (seed % (n - 3)) + 1, 128
-    g, r, q = 1, 1, 1
-    x = ys = y
+    factor, or None once max_iter iterations are spent. A walk whose gcd
+    collapses to n restarts with the next seed on the iterations left."""
     count = 0
-    while g == 1 and count < max_iter:
-        x = y
-        for _ in range(r):
-            y = (y * y + c) % n
-        k = 0
-        while k < r and g == 1:
-            ys = y
-            for _ in range(min(m, r - k)):
+    while count < max_iter:
+        y, c, m = (seed % (n - 1)) + 1, (seed % (n - 3)) + 1, 128
+        g, r, q = 1, 1, 1
+        while g == 1 and count < max_iter:
+            x = y
+            for _ in range(r):
                 y = (y * y + c) % n
-                q = q * abs(x - y) % n
-            g = math.gcd(q, n)
-            k += m
-            count += m
-        r *= 2
-    if g == n:
-        g = 1
-        while g == 1:
-            ys = (ys * ys + c) % n
-            g = math.gcd(abs(x - ys), n)
-            count += 1
-            if count >= max_iter:
-                return None
-    return g if 1 < g < n else None
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(m, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += m
+                count += m
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+                count += 1
+                if count >= max_iter:
+                    return None
+        if 1 < g < n:
+            return g
+        seed += 1
+    return None
 
 
 class Factorization(NamedTuple):
@@ -92,8 +96,8 @@ def factorize(
 ) -> Factorization:
     """Factor |n| by trial division then bounded Pollard rho.
 
-    Never guesses: whatever remains unfactored within the caps is reported
-    as a composite cofactor.
+    Never guesses: whatever rho leaves unfactored within rho_iterations per
+    composite, over all the seeds it tries, is reported as a cofactor.
     """
     if n == 0:
         raise ValueError("cannot factor 0")

@@ -337,6 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if hasattr(sys, "set_int_max_str_digits"):  # print our own exact integers in full
+        sys.set_int_max_str_digits(0)
     try:
         prec = getattr(args, "prec", None)
         if prec is not None and prec <= 0:

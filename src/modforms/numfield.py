@@ -20,6 +20,7 @@ from .polys import (
     cyclotomic_polynomial,
     poly_irreducible,
     poly_xgcd,
+    power_sums,
     radical_mod_p,
 )
 
@@ -116,17 +117,9 @@ class NumberField:
         return self.element([Fraction(x)])
 
     def power_traces(self, count: int) -> tuple[int, ...]:
-        """Traces of 1, x, ..., x^(count-1), by Newton's identities on the
-        modulus; past the degree d the recurrence runs on the last d traces.
-        They are integers, since the modulus is monic and integral."""
-        d, c = self.degree, self._int_modulus
-        p = [d]
-        for j in range(1, count):
-            s = -j * c[d - j] if j <= d else 0
-            for i in range(1, min(j, d + 1)):
-                s -= c[d - i] * p[j - i]
-            p.append(s)
-        return tuple(p[:count])
+        """Traces of 1, x, ..., x^(count-1): integers, since the modulus is
+        monic and integral."""
+        return power_sums(self._int_modulus, count)
 
     def conjugate_quadratic(self, el: "NumberFieldElement") -> "NumberFieldElement":
         """The nontrivial conjugate x -> trace(x) - x, degree-2 fields only."""

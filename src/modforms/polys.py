@@ -209,9 +209,6 @@ class RatPoly:
         lead = self.lead
         return self if lead == 1 else RatPoly([c / lead for c in self.coeffs])
 
-    def derivative(self) -> "RatPoly":
-        return RatPoly([i * c for i, c in enumerate(self.coeffs)][1:])
-
     def evaluate(self, x):
         return _dense_eval(self.coeffs, x)
 
@@ -267,7 +264,7 @@ def _inverse_mod(a, b) -> list[Fraction] | None:
 
 
 # ---------------------------------------------------------------------------
-# Resultants and discriminants (integer Bareiss on the Sylvester matrix)
+# Discriminants (integer Bareiss on the trace form)
 # ---------------------------------------------------------------------------
 
 
@@ -293,26 +290,33 @@ def bareiss_det(m: list[list[int]]) -> int:
     return sign * m[-1][n - 1] if n else 1
 
 
-def resultant(p: RatPoly, q: RatPoly) -> Fraction:
-    """Res(p, q) over Q, via an exact integer Sylvester determinant."""
-    if p.is_zero() or q.is_zero():
-        return Fraction(0)
-    dp, dq = p.degree, q.degree
-    ap, pi = clear_denominators(p.coeffs)
-    aq, qi = clear_denominators(q.coeffs)
-    n = dp + dq
-    rows = [[0] * i + pi[::-1] + [0] * (n - dp - 1 - i) for i in range(dq)]
-    rows += [[0] * i + qi[::-1] + [0] * (n - dq - 1 - i) for i in range(dp)]
-    return Fraction(bareiss_det(rows), ap**dq * aq**dp)
+def power_sums(c: Sequence[int], count: int) -> tuple[int, ...]:
+    """Power sums of the roots, exponents 0 .. count-1, of the monic
+    polynomial with ascending integer coefficients c, by Newton's identities;
+    past the degree d the recurrence runs on the last d sums."""
+    d = len(c) - 1
+    p = [d]
+    for j in range(1, count):
+        s = -j * c[d - j] if j <= d else 0
+        for i in range(1, min(j, d + 1)):
+            s -= c[d - i] * p[j - i]
+        p.append(s)
+    return tuple(p[:count])
 
 
 def discriminant(p: RatPoly) -> Fraction:
-    """disc(p) = (-1)^(d(d-1)/2) Res(p, p') / lead(p), for degree >= 1."""
+    """disc(p) for degree d >= 1. P = den p is integral with lead a, so
+    Q(y) = a^(d-1) P(y/a) is monic and integral; disc(Q), the determinant of
+    the trace form [s_(i+j)] of its power sums (Cohen, GTM 138, 4.4), is
+    a^((d-1)(d-2)) den^(2d-2) disc(p)."""
     d = p.degree
     if d < 1:
         raise ValueError("discriminant requires degree >= 1")
-    sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return sign * resultant(p, p.derivative()) / p.lead
+    den, P = clear_denominators(p.coeffs)
+    a = P[-1]
+    s = power_sums([x * a ** (d - 1 - i) for i, x in enumerate(P[:-1])] + [1], 2 * d - 1)
+    det = bareiss_det([list(s[i : i + d]) for i in range(d)])
+    return Fraction(det, a ** ((d - 1) * (d - 2)) * den ** (2 * d - 2))
 
 
 # ---------------------------------------------------------------------------

@@ -135,3 +135,21 @@ def test_prime_exponents_keep_factorize_and_its_rho_calls(monkeypatch):
         assert new == old, n
         rho_calls += len(new[1])
     assert rho_calls > 100
+
+
+def test_a_collapsed_rho_walk_tries_the_next_seed():
+    """Seed 15 collapses on 101 * 103 * 107: its gcd reaches the whole number
+    at once. The walk goes on with seed 16 instead of leaving the composite as
+    the cofactor, which lost one power of each prime here."""
+    n = 101 * 103 * 107
+    assert _pollard_brent(n, seed=15) in (101, 103, 107, n // 101, n // 103, n // 107)
+    f = factorize(n**12, trial_bound=100)
+    assert (f.factors, f.cofactor) == ({101: 12, 103: 12, 107: 12}, 1)
+
+
+@pytest.mark.parametrize("iterations", [0, 1, 100])
+def test_the_rho_cap_leaves_a_composite_cofactor(iterations):
+    p, q = 1000000000039, 1000000000061
+    assert is_probable_prime(p) and is_probable_prime(q)
+    assert factorize(p * q, trial_bound=100, rho_iterations=iterations) == ({}, p * q)
+    assert factorize(p * q, trial_bound=100).factors == {p: 1, q: 1}

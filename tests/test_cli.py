@@ -2,13 +2,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from modforms import hecke, identities, scans
+from modforms.arith import SquarefreeSplit
 from modforms.cli import main
-from modforms.polys import RatPoly, poly_irreducible
+from modforms.polys import RatPoly, discriminant, poly_irreducible
 
 
 def run_cli(capsys, *args):
@@ -97,6 +99,20 @@ def test_maeda_subcommand(capsys):
     assert payload["reports"][0]["status"] == "irreducible"
     code, out, _ = run_cli(capsys, "maeda", "--range", "12..16", "--output", "json")
     assert code == 0
+
+
+def test_maeda_prints_a_discriminant_past_the_digit_limit(capsys, monkeypatch):
+    """The weight-172 T_2 discriminant has about 4,700 digits, past the 4,300
+    that Python converts to str by default. The factorization is stubbed out: it
+    takes most of a minute and does not decide the printed discriminant."""
+    monkeypatch.setattr(scans, "squarefree_kernel", lambda n, **_: SquarefreeSplit(n, 1, False))
+    code, out, err = run_cli(capsys, "maeda", "172", "--output", "json")
+    assert (code, err) == (0, "")
+    report = json.loads(out)["reports"][0]
+    charpoly = RatPoly([Fraction(c) for c in report["charpoly"]])
+    disc = discriminant(charpoly)
+    assert len(str(disc.numerator)) > 4300
+    assert report["poly_disc"] == str(disc)
 
 
 def test_finiteness_subcommand(capsys):

@@ -4,8 +4,9 @@ row reduction and matrix product in modforms.linalg against sympy.Matrix. The in
 of the product over Q, the Newton series inverse and the Bareiss extended gcd
 are also checked against the Fraction loop, the coefficient recurrence and
 the Euclidean loop they replaced, the number-field reduction against
-sympy.rem and the former zeta-power embedding loop, and the Sylvester
-resultant and discriminant against sympy. The Horner evaluation kernel is
+sympy.rem and the former zeta-power embedding loop, and the trace-form
+discriminant against sympy and the Sylvester determinant it replaced (itself
+checked against sympy's res_q). The Horner evaluation kernel is
 checked against sympy, the former private loops of roots.aberth_roots and
 RatPoly.evaluate, and mpmath.polyval."""
 
@@ -20,7 +21,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.subresultants_qq_zz import res_q
 
-from modforms.hecke import certified_charpoly
+from modforms.hecke import certified_charpoly, charpoly, hecke_matrix
 from modforms.linalg import invert_rational, kernel_vector, mat_mul, row_reduce
 from modforms.numfield import QQ, NumberField, cyclotomic_field, embed_cyclotomic
 from modforms.polys import (
@@ -31,9 +32,10 @@ from modforms.polys import (
     _dense_gcd,
     _dense_mul,
     _dense_trim,
+    bareiss_det,
+    clear_denominators,
     discriminant,
     poly_xgcd,
-    resultant,
 )
 from modforms.qseries import QSeries
 
@@ -470,19 +472,62 @@ def sympy_fraction(value) -> Fraction:
     return Fraction(int(value.p), int(value.q))
 
 
+def sylvester_resultant(p: RatPoly, q: RatPoly) -> Fraction:
+    """Res(p, q) over Q as the integer Bareiss determinant of the Sylvester
+    matrix: the route polys.discriminant took before the trace form."""
+    if p.is_zero() or q.is_zero():
+        return Fraction(0)
+    dp, dq = p.degree, q.degree
+    ap, pi = clear_denominators(p.coeffs)
+    aq, qi = clear_denominators(q.coeffs)
+    n = dp + dq
+    rows = [[0] * i + pi[::-1] + [0] * (n - dp - 1 - i) for i in range(dq)]
+    rows += [[0] * i + qi[::-1] + [0] * (n - dq - 1 - i) for i in range(dp)]
+    return Fraction(bareiss_det(rows), ap**dq * aq**dp)
+
+
+def sylvester_discriminant(p: RatPoly) -> Fraction:
+    """disc(p) = (-1)^(d(d-1)/2) Res(p, p') / lead(p), for degree d >= 1."""
+    d = p.degree
+    derivative = RatPoly([i * c for i, c in enumerate(p.coeffs)][1:])
+    return (-1) ** (d * (d - 1) // 2) * sylvester_resultant(p, derivative) / p.lead
+
+
 @settings(max_examples=200, deadline=None)
 @given(sylvester_coeffs, sylvester_coeffs)
 def test_resultant_matches_sympy(a, b):
-    """Against sympy's subresultant PRS over Q. sympy.resultant itself is not
-    the oracle: it drops a sign when the second operand has a zero constant
-    term (sympy 1.14 gives resultant(x + 1, x**3) = 1; the Sylvester
-    determinant is -1)."""
+    """The Sylvester oracle against sympy's subresultant PRS over Q.
+    sympy.resultant itself is not the oracle: it drops a sign when the second
+    operand has a zero constant term (sympy 1.14 gives resultant(x + 1, x**3)
+    = 1; the Sylvester determinant is -1)."""
     p, q = RatPoly(a), RatPoly(b)
     if p.is_zero() or q.is_zero():
         expected = Fraction(0)  # sympy.resultant's convention; res_q raises
     else:
         expected = sympy_fraction(res_q(to_sympy(a).as_expr(), to_sympy(b).as_expr(), X))
-    assert resultant(p, q) == expected
+    assert sylvester_resultant(p, q) == expected
+
+
+nonzero_leads = st.fractions(min_value=-7, max_value=7, max_denominator=5).filter(bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sylvester_coeffs, nonzero_leads, sylvester_coeffs, st.booleans())
+def test_discriminant_matches_sylvester(a, lead, c, square):
+    """Non-monic and negative leads, and a squared factor (a vanishing
+    discriminant) in half the cases."""
+    p = RatPoly((a[:8] or [0]) + [lead])
+    if square:
+        f = RatPoly((c[:2] or [0]) + [lead])
+        p = p * f * f
+    assert discriminant(p) == sylvester_discriminant(p)
+
+
+@pytest.mark.parametrize("k", [100, 132, 160, 200])
+def test_discriminant_of_the_t2_charpoly_matches_sylvester(k):
+    cp = charpoly(hecke_matrix(2, k))
+    assert cp.degree >= 8
+    assert discriminant(cp) == sylvester_discriminant(cp)
 
 
 @settings(max_examples=200, deadline=None)

@@ -11,7 +11,7 @@ from modforms.numfield import (
     dedekind_index_test,
     embed_cyclotomic,
 )
-from modforms.polys import RatPoly, discriminant
+from modforms.polys import RatPoly, discriminant, power_sums
 
 
 def quad(d):
@@ -105,6 +105,22 @@ def test_power_traces_past_the_degree():
     # x^3 - x - 1: p_j = p_(j-2) + p_(j-3), the Perrin sequence
     K = NumberField(RatPoly([-1, -1, 0, 1]))
     assert K.power_traces(12) == (3, 0, 2, 3, 2, 5, 5, 7, 10, 12, 17, 22)
+
+
+@pytest.mark.parametrize(
+    "modulus, traces",
+    [
+        ([-20468736, -1080, 1], (2, 1080, 1080 * 1080 + 2 * 20468736)),
+        ([-2, 0, 0, 1], (3, 0, 0, 6, 0, 0, 12, 0, 0, 24)),
+        ([-1, -1, 0, 1], (3, 0, 2, 3, 2, 5, 5, 7, 10, 12, 17, 22)),
+    ],
+)
+def test_power_sums_are_the_power_traces(modulus, traces):
+    """polys.power_sums is the one Newton recurrence: power_traces calls it,
+    and so does the discriminant."""
+    for count in range(len(traces) + 1):
+        assert power_sums(modulus, count) == traces[:count]
+        assert NumberField(RatPoly(modulus)).power_traces(count) == traces[:count]
 
 
 def test_power_traces_match_the_trace_of_the_power():

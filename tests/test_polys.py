@@ -13,7 +13,6 @@ from modforms.polys import (
     factor_degrees_mod_p,
     poly_irreducible,
     poly_xgcd,
-    resultant,
     _pdivmod,
     _pmul,
 )
@@ -82,13 +81,6 @@ def test_discriminant_from_roots_oracle():
             for j in range(i + 1, d):
                 expected *= Fraction(roots[i] - roots[j]) ** 2
         assert discriminant(poly) == expected
-
-
-def test_resultant_multiplicative():
-    p = RatPoly([1, 2, 1])
-    q = RatPoly([-3, 1])
-    r = RatPoly([5, 0, 0, 1])
-    assert resultant(p * q, r) == resultant(p, r) * resultant(q, r)
 
 
 def test_factor_degrees_mod_p():
