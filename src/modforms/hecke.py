@@ -114,25 +114,19 @@ def charpoly(matrix: HeckeMatrix) -> RatPoly:
     return charpoly_rational([list(row) for row in matrix.entries])
 
 
-# The one certificate policy for every Hecke field: T_n for the first decisive
-# n, with mod-p patterns at poly_irreducible's default count of primes. With
-# that count T_2 is decisive for every cusp weight k <= 160.
-HECKE_INDICES = (2, 3, 5)
+# The operator of every Hecke-field certificate; its eigenvalue a_2 generates
+# the field (Maeda's conjecture is a statement about this charpoly).
+HECKE_INDEX = 2
 
 
 def certified_charpoly(
     k: int, basis: SpaceBasis | None = None
-) -> tuple[int, HeckeMatrix, RatPoly, IrreducibilityCertificate]:
-    """(n, T_n, charpoly, certificate) for the first n in HECKE_INDICES whose
-    charpoly certificate is decisive (irreducible or reducible); the last n
-    tried when none is."""
-    for n in HECKE_INDICES:
-        matrix = hecke_matrix(n, k, basis)
-        cp = charpoly(matrix)
-        cert = poly_irreducible(cp)
-        if cert.status != "unknown":
-            break
-    return n, matrix, cp, cert
+) -> tuple[HeckeMatrix, RatPoly, IrreducibilityCertificate]:
+    """(T_2, charpoly, certificate) in weight k: the one certificate policy
+    for every Hecke field. poly_irreducible chooses how many primes to read."""
+    matrix = hecke_matrix(HECKE_INDEX, k, basis)
+    cp = charpoly(matrix)
+    return matrix, cp, poly_irreducible(cp)
 
 
 class Eigenform(NamedTuple):
@@ -140,7 +134,6 @@ class Eigenform(NamedTuple):
     field: object  # QQ or NumberField
     series: QSeries
     label: str
-    hecke_index: int = 2  # index n with a_n equal to the field generator
 
     def a(self, n: int):
         return self.series.coeff(n)
@@ -162,8 +155,9 @@ def eigenbasis(k: int, prec: int | None = None) -> list[Eigenform]:
     """Normalized eigenbasis of the weight-k cusp space, as one orbit
     representative over the Hecke field.
 
-    For dim >= 2 this requires an irreducibility certificate for some
-    T_n charpoly; the Galois conjugates of the returned form are implicit.
+    For dim >= 2 this requires an irreducibility certificate for the T_2
+    charpoly, and a_2 is the field generator; the Galois conjugates of the
+    returned form are implicit.
     """
     d = dim_Sk(k)
     if d == 0:
@@ -173,18 +167,19 @@ def eigenbasis(k: int, prec: int | None = None) -> list[Eigenform]:
     basis = miller_basis(k, max(prec, 3 * d + 5), cusp_only=True)
     if d == 1:
         return [Eigenform(k, QQ, basis.forms[0].series.truncate(prec), f"S{k}.a")]
-    n, matrix, cp, cert = certified_charpoly(k, basis)
+    n = HECKE_INDEX
+    if prec <= n:
+        raise ValueError(f"prec must exceed {n}: a_{n} generates the Hecke field")
+    matrix, cp, cert = certified_charpoly(k, basis)
     if cert.is_reducible:
         raise UnsupportedHeckeField(
             f"T_{n} charpoly reducible in weight {k}: root {cert.witness_root}"
         )
     if not cert.is_irreducible:
         raise UnsupportedHeckeField(
-            f"no irreducibility certificate for weight {k} (tried {HECKE_INDICES}); "
-            f"last status: {cert.status}"
+            f"no irreducibility certificate for weight {k}: the T_{n} charpoly "
+            f"is {cert.status} after {len(cert.patterns)} primes"
         )
-    if prec <= n:
-        raise ValueError(f"prec must exceed {n}: a_{n} generates the Hecke field")
     field = NumberField(cp, certificate=cert)
     lam = field.gen()
     a = [
@@ -200,7 +195,7 @@ def eigenbasis(k: int, prec: int | None = None) -> list[Eigenform]:
         weighted_sum(v, [form.series.coeff(r) for form in basis.forms], field.zero())
         for r in range(prec)
     ]
-    g = Eigenform(k, field, QSeries(field, coeffs, prec), f"S{k}.a", hecke_index=n)
+    g = Eigenform(k, field, QSeries(field, coeffs, prec), f"S{k}.a")
     assert g.a(n) == lam
     assert cp.evaluate(lam) == field.zero()
     return [g]
@@ -213,7 +208,7 @@ def galois_conjugate(f: Eigenform) -> Eigenform:
     if f.field.degree != 2:
         raise UnsupportedHeckeField("conjugation implemented for degree <= 2 fields")
     series = f.series.map_coefficients(f.field, f.field.conjugate_quadratic)
-    return Eigenform(f.weight, f.field, series, f.label + "'", f.hecke_index)
+    return Eigenform(f.weight, f.field, series, f.label + "'")
 
 
 def hecke_matrix_power_basis(n: int, k: int) -> list[list[Fraction]]:

@@ -7,7 +7,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import zip_longest
+from itertools import islice, zip_longest
 from typing import Iterable, NamedTuple, Sequence
 
 from .arith import divisors, factorize, iter_primes
@@ -450,10 +450,9 @@ def factor_degrees_mod_p(p: RatPoly, q: int) -> list[int]:
 class IrreducibilityCertificate(NamedTuple):
     """Outcome of poly_irreducible with the data it was decided on.
 
-    discriminant is disc(p); patterns maps each of the first prime_count
-    primes not dividing a coefficient denominator, the leading numerator or
-    the discriminant to the factor degrees of p mod that prime (empty for
-    degree 1 and when the discriminant vanishes).
+    discriminant is disc(p); patterns maps each prime poly_irreducible read to
+    the factor degrees of p mod that prime (empty for degree 1 and when the
+    discriminant vanishes).
     """
 
     status: str  # "irreducible" | "reducible" | "unknown"
@@ -511,19 +510,23 @@ def _rational_root_candidates(p: RatPoly) -> list[Fraction] | None:
     return sorted(cands)
 
 
-def _subset_sum_possible(pattern: Sequence[int], d: int) -> bool:
-    reachable = 1  # bitset of achievable subset sums
+def _subset_sums(pattern: Sequence[int]) -> int:
+    """Bitset of the degrees that a product of some factors in the pattern has."""
+    reachable = 1
     for x in pattern:
         reachable |= reachable << x
-    return bool(reachable >> d & 1)
+    return reachable
 
 
-def poly_irreducible(p: RatPoly, prime_count: int = 30) -> IrreducibilityCertificate:
+def poly_irreducible(p: RatPoly) -> IrreducibilityCertificate:
     """Certificate-based irreducibility test over Q.
 
-    The mod-p factor patterns come first. Rational-root candidates are tried
-    only while every pattern still allows a linear factor, since a rational
-    root shows up as a 1 in every pattern. Witnesses:
+    The mod-p factor patterns come first, at the first 30 primes dividing no
+    coefficient denominator, the leading numerator or the discriminant.
+    Rational-root candidates are tried only while every pattern still allows
+    a linear factor, since a rational root shows up as a 1 in every pattern.
+    While a proper factor degree stays open, one more prime is read at a
+    time, up to 4d primes for degree d. Witnesses:
 
     - "irreducible": a prime where p stays in one piece, a pattern set that
       rules out every proper factor degree, or (degree <= 3) the absence of
@@ -539,13 +542,8 @@ def poly_irreducible(p: RatPoly, prime_count: int = 30) -> IrreducibilityCertifi
         return IrreducibilityCertificate("irreducible", disc, {})
     den, _ = clear_denominators(p.coeffs)
     bad = den * p.lead.numerator * disc.numerator  # 0 when p is not squarefree
-    patterns: dict[int, tuple[int, ...]] = {}
-    if bad:
-        for q in iter_primes():
-            if len(patterns) >= prime_count:
-                break
-            if bad % q:
-                patterns[q] = tuple(factor_degrees_mod_p(p, q))
+    good = (q for q in iter_primes() if bad % q) if bad else iter(())
+    patterns = {q: tuple(factor_degrees_mod_p(p, q)) for q in islice(good, 30)}
     cert = partial(IrreducibilityCertificate, discriminant=disc, patterns=patterns)
     if d == 2:
         root = _rational_square_root(disc)
@@ -561,13 +559,19 @@ def poly_irreducible(p: RatPoly, prime_count: int = 30) -> IrreducibilityCertifi
             if d == 3:
                 # a reducible cubic over Q must have a rational root
                 return cert("irreducible")
+    # bit j: every pattern allows a factor of degree j, for 1 <= j <= d/2
+    open_degrees = (1 << (d // 2 + 1)) - 2
+    for pat in patterns.values():
+        open_degrees &= _subset_sums(pat)
+    for q in good:
+        if not open_degrees or len(patterns) >= 4 * d:
+            break
+        patterns[q] = pat = tuple(factor_degrees_mod_p(p, q))
+        open_degrees &= _subset_sums(pat)
     for q, pat in patterns.items():
         if pat == (d,):
             return cert("irreducible", witness_prime=q)
-    for deg in range(1, d // 2 + 1):
-        if all(_subset_sum_possible(pat, deg) for pat in patterns.values()):
-            return cert("unknown")
-    return cert("irreducible")
+    return cert("unknown" if open_degrees else "irreducible")
 
 
 # ---------------------------------------------------------------------------

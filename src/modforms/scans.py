@@ -19,7 +19,7 @@ from .dirichlet import (
 from .forms import dim_Sk
 # hecke_matrix stays bound here: perfbench/tests/test_bench_tracer.py checks
 # that the tracer replaces this binding along with the one in modforms.hecke
-from .hecke import certified_charpoly, hecke_matrix  # noqa: F401
+from .hecke import HECKE_INDEX, certified_charpoly, hecke_matrix  # noqa: F401
 from .numfield import NumberFieldElement, dedekind_index_test, embed_cyclotomic
 from .polys import IrreducibilityCertificate, RatPoly
 
@@ -288,7 +288,6 @@ class MaedaReport(NamedTuple):
 
     weight: int
     dim: int
-    hecke_index: int | None
     charpoly: RatPoly | None
     certificate: IrreducibilityCertificate | None
     disc_squarefree: int | None
@@ -335,7 +334,7 @@ class MaedaReport(NamedTuple):
         return {
             "weight": self.weight,
             "dim": self.dim,
-            "hecke_index": self.hecke_index,
+            "hecke_index": HECKE_INDEX if self.certificate else None,
             "charpoly": [str(c) for c in self.charpoly.coeffs] if self.charpoly else None,
             "status": self.certificate.status if self.certificate else "trivial",
             "poly_disc": str(self.poly_disc) if self.poly_disc is not None else None,
@@ -355,15 +354,15 @@ class MaedaReport(NamedTuple):
 
 
 def maeda_check(k: int) -> MaedaReport:
-    """Irreducibility certificate for a Hecke charpoly plus mod-p cycle-type
+    """Irreducibility certificate for the T_2 charpoly plus mod-p cycle-type
     evidence for the full symmetric group (one-sided, explicitly heuristic).
     The evidence reads the patterns of hecke.certified_charpoly's certificate."""
     d = dim_Sk(k)
     if d < 1:
         raise ValueError(f"weight {k} has no cusp forms")
     if d == 1:
-        return MaedaReport(k, 1, None, None, None, None, True, None)
-    index, _, cp, cert = certified_charpoly(k)
+        return MaedaReport(k, 1, None, None, None, True, None)
+    _, cp, cert = certified_charpoly(k)
     # bounded caps: large higher-degree discriminants come back flagged partial
     split = squarefree_kernel(
         cert.discriminant.numerator, trial_bound=10**5, rho_iterations=20_000
@@ -374,7 +373,6 @@ def maeda_check(k: int) -> MaedaReport:
     return MaedaReport(
         k,
         d,
-        index,
         cp,
         cert,
         split.squarefree if split.complete else None,
@@ -438,10 +436,10 @@ def hecke_field_intersection_check(k: int) -> IntersectionReport:
         )
     if d1 != 2:
         raise ValueError("the quadratic-side route needs dim 2 in weight k")
-    _, _, _, cert1 = certified_charpoly(k)
+    _, _, cert1 = certified_charpoly(k)
     if not cert1.is_irreducible:
         raise ArithmeticError(f"weight-{k} charpoly not certified irreducible")
-    _, _, cp2, cert2 = certified_charpoly(2 * k)
+    _, cp2, cert2 = certified_charpoly(2 * k)
     if not cert2.is_irreducible:
         raise ArithmeticError(f"weight-{2 * k} charpoly not certified irreducible")
     disc1, disc2 = cert1.discriminant, cert2.discriminant

@@ -195,8 +195,8 @@ def find_arc_zeros(k: int, tol: float = 1e-12) -> list[ArcZero]:
     """
     if k % 12:
         raise ValueError("arc-zero search is defined for weights divisible by 12")
-    if not tol > 0:
-        raise ValueError(f"zero tolerance must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"zero tolerance must be positive and finite, got {tol}")
     import mpmath
     f = arc_function(k)
     with mpmath.workdps(DPS):

@@ -213,8 +213,9 @@ def test_criterion_09_hecke_algebra_suite():
         for k in range(12, 101, 2):
             if dim_Sk(k) < 2:
                 continue
-            cert = poly_irreducible(charpoly(hecke_matrix(2, k)), prime_count=40)
+            cert = poly_irreducible(charpoly(hecke_matrix(2, k)))
             assert cert.is_irreducible, f"weight {k}: {cert.status}"
+            assert len(cert.patterns) == 30, f"weight {k}"
 
     run_criterion(9, "Hecke algebra suite", 120, check)
 

@@ -68,9 +68,10 @@ def test_verdicts_agree_with_sympy(p):
 @settings(max_examples=60, deadline=None)
 @given(integer_polys())
 def test_certificate_carries_discriminant_and_patterns(p):
-    cert = poly_irreducible(p, prime_count=12)
+    cert = poly_irreducible(p)
     assert cert.discriminant == discriminant(p)
-    assert cert.patterns == _direct_patterns(p, 12)
+    assert cert.patterns == _direct_patterns(p, len(cert.patterns))
+    assert len(cert.patterns) >= 30 or cert.discriminant == 0
 
 
 @pytest.mark.parametrize(
@@ -86,15 +87,37 @@ def test_certificate_carries_discriminant_and_patterns(p):
 )
 def test_patterns_for_small_degrees(coeffs):
     p = RatPoly(coeffs)
-    cert = poly_irreducible(p, prime_count=20)
+    cert = poly_irreducible(p)
     assert cert.discriminant == discriminant(p)
-    assert cert.patterns == _direct_patterns(p, 20)
+    assert cert.patterns == _direct_patterns(p, len(cert.patterns))
+    assert len(cert.patterns) == (0 if cert.discriminant == 0 else 30)
+
+
+def test_an_undecided_certificate_reads_4d_primes():
+    # x^8 + 1 splits mod every prime into factors of equal degree 1, 2 or 4
+    p = RatPoly([1] + [0] * 7 + [1])
+    cert = poly_irreducible(p)
+    assert cert.status == "unknown"
+    assert cert.patterns == _direct_patterns(p, 32)
+
+
+def test_t2_decides_past_30_primes_at_weight_198():
+    _, cp, cert = hecke.certified_charpoly(198)
+    assert cert.is_irreducible and len(cert.patterns) == 31
+    assert dict(list(cert.patterns.items())[:30]) == _direct_patterns(cp, 30)
+
+
+def test_t2_decides_at_weight_240():
+    # the first 30 primes leave T_2 undecided here
+    _, cp, cert = hecke.certified_charpoly(240)
+    assert cert.is_irreducible and len(cert.patterns) == 38
+    assert cp.degree == forms.dim_Sk(240) == 20
 
 
 def test_witness_prime_is_the_first_one_piece_pattern():
     cp = hecke.charpoly(hecke.hecke_matrix(2, 36))
-    cert = poly_irreducible(cp, prime_count=20)
-    assert cert.is_irreducible and len(cert.patterns) == 20
+    cert = poly_irreducible(cp)
+    assert cert.is_irreducible and len(cert.patterns) == 30
     first = next(q for q, pat in cert.patterns.items() if pat == (cp.degree,))
     assert cert.witness_prime == first
 

@@ -115,6 +115,16 @@ def test_maeda_prints_a_discriminant_past_the_digit_limit(capsys, monkeypatch):
     assert report["poly_disc"] == str(disc)
 
 
+def test_maeda_certifies_t2_at_weight_240(capsys, monkeypatch):
+    """T_2 decides here from 38 primes; the factorization is stubbed as above."""
+    monkeypatch.setattr(scans, "squarefree_kernel", lambda n, **_: SquarefreeSplit(n, 1, False))
+    code, out, err = run_cli(capsys, "maeda", "240", "--output", "json")
+    assert (code, err) == (0, "")
+    report = json.loads(out)["reports"][0]
+    assert (report["hecke_index"], report["status"]) == (2, "irreducible")
+    assert len(report["patterns"]) == 38
+
+
 def test_finiteness_subcommand(capsys):
     code, out, _ = run_cli(
         capsys, "finiteness", "--a", "1", "--b", "1", "--kmax", "40", "--output", "json"
@@ -346,7 +356,7 @@ def test_zero_tolerance_below_the_working_precision_finishes():
     assert json.loads(result.stdout)["status"] == "verified"
 
 
-@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
 def test_nonpositive_zero_tolerance_is_a_usage_error(tol):
     result = run_python("-m", "modforms.cli", "zeros", "1", "--tol-zero", tol, "--output", "json")
     assert result.returncode == 2
@@ -366,7 +376,7 @@ def test_uncertified_hecke_field_is_an_error_exit(capsys, monkeypatch):
     cp = RatPoly([1, 0, 0, 0, 1])  # x^4 + 1 splits mod every prime: no certificate
     cert = poly_irreducible(cp)
     assert cert.status == "unknown"
-    monkeypatch.setattr(hecke, "certified_charpoly", lambda k, basis=None: (2, None, cp, cert))
+    monkeypatch.setattr(hecke, "certified_charpoly", lambda k, basis=None: (None, cp, cert))
     code, out, err = run_cli(capsys, "eigen", "24", "--output", "json")
     assert code == 2
     assert out == ""

@@ -155,7 +155,7 @@ def reduction_fields() -> list[NumberField]:
     """Q(zeta_m) for m <= 30 and the Hecke fields of four weights."""
     fields = [cyclotomic_field(m) for m in range(1, 31)]
     for k in (24, 36, 48, 96):
-        _, _, cp, cert = certified_charpoly(k)
+        _, cp, cert = certified_charpoly(k)
         fields.append(NumberField(cp, cert))
     return fields
 
