@@ -11,7 +11,7 @@ from itertools import product
 from .arith import divisors, factorize
 from .linalg import weighted_sum
 from .numfield import NumberField, NumberFieldElement, cyclotomic_field
-from .polys import RatPoly, _dense_eval, clear_denominators
+from .polys import RatPoly, _dense_eval, _fixed_eval, clear_denominators
 
 
 # ---------------------------------------------------------------------------
@@ -246,20 +246,34 @@ def induce(chi: DirichletCharacter, N: int) -> DirichletCharacter:
 # Bernoulli numbers, Bernoulli polynomials, generalized Bernoulli numbers
 # ---------------------------------------------------------------------------
 
-_bernoulli_cache: list[Fraction] = [Fraction(1)]
+_bernoulli_even: list[Fraction] = [Fraction(1)]  # B_0, B_2, B_4, ...
 
 
 def bernoulli_number(k: int) -> Fraction:
-    """B_k with the convention B_1 = -1/2, by the standard recurrence."""
+    """B_k with the convention B_1 = -1/2.
+
+    B_2j = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)) for the tangent numbers
+    T_j = tan^(2j-1)(0), which come from the O(n^2) integer recurrence of
+    Brent and Harvey ("Fast computation of Bernoulli, tangent and secant
+    numbers", 2013). The table of even B_2j at least doubles when a call
+    reads past it, so ascending calls cost O(n^2) integer steps in all.
+    """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    while len(_bernoulli_cache) <= k:
-        n = len(_bernoulli_cache)
-        s = Fraction(0)
-        for j in range(n):
-            s += math.comb(n + 1, j) * _bernoulli_cache[j]
-        _bernoulli_cache.append(-s / (n + 1))
-    return _bernoulli_cache[k]
+    if k % 2:
+        return Fraction(-1, 2) if k == 1 else Fraction(0)
+    if k // 2 >= len(_bernoulli_even):
+        n = max(k // 2, 2 * (len(_bernoulli_even) - 1))
+        t = [0, 1] + [0] * (n - 1)  # t[j] = T_j
+        for j in range(2, n + 1):
+            t[j] = (j - 1) * t[j - 1]
+        for i in range(2, n + 1):
+            for j in range(i, n + 1):
+                t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
+        _bernoulli_even[1:] = [
+            Fraction((-1) ** (j - 1) * 2 * j * t[j], 4**j * (4**j - 1)) for j in range(1, n + 1)
+        ]
+    return _bernoulli_even[k // 2]
 
 
 @lru_cache(maxsize=None)
@@ -271,25 +285,35 @@ def bernoulli_polynomial(k: int) -> RatPoly:
     return RatPoly(coeffs)
 
 
+@lru_cache(maxsize=None)
+def _bernoulli_residues(k: int, N: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(d, pairs (a, h(a)) over the units a mod N) with N^(k-1) B_k(a/N) =
+    h(a) / (d N): for B_k = sum_i c_i x^i, h = d sum_i c_i N^(k-i) x^i is
+    integral, and one integer Horner gives each h(a). Every character mod N
+    regroups the same values."""
+    d, h = clear_denominators(
+        [c * N ** (k - i) for i, c in enumerate(bernoulli_polynomial(k).coeffs)]
+    )
+    return d, tuple((a, _dense_eval(h, a)) for a in range(N) if math.gcd(a, N) == 1)
+
+
 def gen_bernoulli(k: int, chi: DirichletCharacter) -> NumberFieldElement:
     """Generalized Bernoulli number B_{k,chi} in Q(zeta_order(chi)).
 
     Closed form N^(k-1) * sum_a chi(a) B_k(a/N) over a = 0..N-1; for the
-    trivial character mod 1 this is the ordinary Bernoulli number. For
-    B_k = sum_i c_i x^i the summand is chi(a) h(a) / (d N) with h = d sum_i
-    c_i N^(k-i) x^i integral: one integer Horner per a, one sum per chi(a).
+    trivial character mod 1 this is the ordinary Bernoulli number. The
+    summands h(a) / (d N) come from _bernoulli_residues, shared by every
+    character mod N, and are summed once per value chi(a) = zeta^e.
     """
     if k < 1:
         raise ValueError("k must be positive")
     N = chi.modulus
     field = chi.value_field()
-    d, h = clear_denominators(
-        [c * N ** (k - i) for i, c in enumerate(bernoulli_polynomial(k).coeffs)]
-    )
+    d, residues = _bernoulli_residues(k, N)
     sums: dict[int, int] = {}
-    for a in range(N):
-        if (e := chi.exponent_of(a)) is not None:
-            sums[e] = sums.get(e, 0) + _dense_eval(h, a)
+    for a, h in residues:
+        e = chi.exponent_of(a)
+        sums[e] = sums.get(e, 0) + h
     coords = [0] * field.degree
     for e, total in sums.items():
         # zeta^e has integer coordinates, since Phi_m is monic and integral
@@ -321,24 +345,65 @@ def compositum_field(psi: DirichletCharacter, phi: DirichletCharacter) -> Number
     return cyclotomic_field(math.lcm(psi.order, phi.order))
 
 
+@lru_cache(maxsize=None)
+def _pi_fixed(bits: int) -> int:
+    """pi 2^bits by Machin's formula pi = 16 arctan(1/5) - 4 arctan(1/239).
+    Each series term floors twice, so the result is off by under
+    8 (bits + 8) units."""
+
+    def arctan_inv(x: int) -> int:
+        total, power, i = 0, (1 << bits) // x, 1  # power ~ x^-i 2^bits
+        while power:
+            total += power // i if i % 4 == 1 else -(power // i)
+            power //= x * x
+            i += 2
+        return total
+
+    return 16 * arctan_inv(5) - 4 * arctan_inv(239)
+
+
+@lru_cache(maxsize=None)
+def _unit_root_fixed(m: int, bits: int) -> tuple[int, int]:
+    """(cos, sin)(2 pi / m) 2^bits, each within one unit: the Taylor series
+    of cos and sin at 32 + log2(bits) guard bits, rounded once. There the
+    floors of the series, each amplified at most e^(2 pi) < 2^10 times, and
+    the error of pi stay under 2^14 bits units, while half a final unit is
+    at least 2^31 bits units."""
+    guard = bits + 32 + bits.bit_length()
+    theta = 2 * _pi_fixed(guard) // m
+    parts = [0, 0, 0, 0]  # sums of theta^i / i! over i mod 4
+    term, i = 1 << guard, 0
+    while term:
+        parts[i % 4] += term
+        i += 1
+        term = term * theta // (i << guard)
+    shift = guard - bits
+    half = 1 << (shift - 1)
+    return (parts[0] - parts[2] + half) >> shift, (parts[1] - parts[3] + half) >> shift
+
+
 def abs_embed(x: NumberFieldElement | Fraction | int) -> float:
     """|x| under zeta_m -> exp(2 pi i / m), with relative error well below
-    1e-12. The Horner starts at the coordinates' largest bit length plus 106
-    guard bits and doubles the precision while |x| does not clear the
-    absolute error bound degree * 2^-prec * max|coord| by a factor 2^64
-    (zero reads 0 >= 0 at once)."""
+    1e-12, in integer arithmetic.
+
+    Write x = sum c_i zeta^i / d with integers c_i. polys._fixed_eval runs
+    the Horner on the c_i at zeta rounded to `bits` fractional bits; for
+    degree n and M = max |c_i| it is off from sum c_i zeta^i by under
+    4 n^2 M 2^-bits. The precision starts at 106 bits and doubles while the
+    value does not clear that bound by a factor 2^64 (zero reads 0 >= 0 at
+    once).
+    """
     if isinstance(x, (int, Fraction)):
         return float(abs(Fraction(x)))
     m = x.parent.zeta_order
     if m is None:
         raise ValueError("absolute value is defined for cyclotomic elements")
-    import mpmath
-    bits = max(max(abs(c.numerator).bit_length(), c.denominator.bit_length()) for c in x.coords)
-    prec = bits + 106
+    d, ints = clear_denominators(x.coords)
+    bound = 4 * len(ints) ** 2 * max(map(abs, ints)) << 64
+    bits = 106
     while True:
-        with mpmath.workprec(prec):
-            coords = [mpmath.mpf(c.numerator) / c.denominator for c in x.coords]
-            value = mpmath.fabs(_dense_eval(coords, mpmath.exp(2j * mpmath.pi / m)))
-            if value >= mpmath.ldexp(len(coords) * max(map(mpmath.fabs, coords)), 64 - prec):
-                return float(value)
-        prec *= 2
+        re, im = _fixed_eval(ints, *_unit_root_fixed(m, bits), bits)
+        norm = re * re + im * im
+        if norm >= bound * bound:
+            return math.isqrt(norm) / (d << bits)
+        bits *= 2

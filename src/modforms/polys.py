@@ -20,7 +20,7 @@ from .arith import divisors, factorize, iter_primes
 # gcd, power and evaluation in the package runs here, as does every series
 # inverse and every reduction modulo a number field's modulus; only the F_p
 # product, division and gcd below keep their own loops, which reduce mod q at
-# every step, and the arc evaluator in zeros, which floors at every step.
+# every step, and the fixed-point Horner, which floors at every step.
 # ---------------------------------------------------------------------------
 
 
@@ -71,6 +71,19 @@ def _dense_eval(a, x):
     for c in a[-2::-1]:
         acc = acc * x + c
     return acc
+
+
+def _fixed_eval(a, qr: int, qi: int, bits: int) -> tuple[int, int]:
+    """sum a_i q^i for integers a_i at a complex q given in fixed point,
+    qr + i qi ~ q 2^bits: the integer Horner that the arc evaluator in zeros
+    and the cyclotomic absolute value in dirichlet share. It returns (re, im)
+    ~ value * 2^bits. Each step floors both parts once at that scale: an
+    error under sqrt(2) units, which every later step multiplies by
+    |qr + i qi| / 2^bits."""
+    re = im = 0
+    for c in reversed(a):
+        re, im = ((re * qr - im * qi) >> bits) + (c << bits), (re * qi + im * qr) >> bits
+    return re, im
 
 
 def clear_denominators(a) -> tuple[int, list[int]]:

@@ -13,6 +13,7 @@ from .arith import factorize, quad_field_discriminant, squarefree_kernel
 from .dirichlet import (
     DirichletCharacter,
     abs_embed,
+    bernoulli_number,
     characters_mod,
     gen_bernoulli,
 )
@@ -24,14 +25,56 @@ from .numfield import NumberFieldElement, dedekind_index_test, embed_cyclotomic
 from .polys import IrreducibilityCertificate, RatPoly
 
 
+def _floor_scaled(num: int, den: int, shift: int) -> int:
+    """floor(num 2^shift / den) for den > 0 and any integer shift."""
+    if shift >= 0:
+        return (num << shift) // den
+    return num // (den << -shift)
+
+
+@lru_cache(maxsize=None)
+def _euler_maclaurin_coefficients() -> tuple[tuple[int, int], ...]:
+    """(numerator, denominator) of B_2j / (2j)! for j = 1..21."""
+    return tuple(
+        (c.numerator, c.denominator)
+        for c in (bernoulli_number(2 * j) / math.factorial(2 * j) for j in range(1, 22))
+    )
+
+
 @lru_cache(maxsize=None)
 def zeta_direct(s: int) -> float:
-    """zeta(s) for integer s >= 3 as a double, from mpmath at 30 digits."""
+    """zeta(s) for integer s >= 3 as the double nearest to it, in integer
+    arithmetic.
+
+    Euler-Maclaurin at N = 16: zeta(s) = sum_{n < 16} n^-s + 16^(1-s)/(s-1)
+    + 16^-s/2 + sum_{j=1}^{20} B_2j/(2j)! s(s+1)...(s+2j-2) 16^(1-s-2j) + R.
+    Every derivative of x^-s keeps one sign on [16, inf), so |R| is at most
+    the first omitted term, j = 21. Each of the 37 terms is floored at `bits`
+    fractional bits, which puts zeta(s) 2^bits in [S - R, S + 37 + R] for
+    their sum S. The precision starts at 64 bits and doubles until both ends
+    of that interval round to one double.
+    """
     if s < 3:
         raise ValueError("s >= 3 required (the bound checks never need less)")
-    import mpmath
-    with mpmath.workdps(30):
-        return float(mpmath.zeta(s))
+    *corrections, (omitted_num, omitted_den) = _euler_maclaurin_coefficients()
+    bits = 64
+    while bits <= 4096:
+        one = 1 << bits
+        # n^-s floors to 0 once n^s > 2^bits
+        total = sum(one // n**s for n in range(1, 16) if s * (n.bit_length() - 1) <= bits)
+        total += _floor_scaled(1, s - 1, bits - 4 * (s - 1))
+        total += _floor_scaled(1, 2, bits - 4 * s)
+        rising = s  # s(s+1)...(s+2j-2)
+        for j, (num, den) in enumerate(corrections, 1):
+            total += _floor_scaled(num * rising, den, bits - 4 * (s + 2 * j - 1))
+            rising *= (s + 2 * j - 1) * (s + 2 * j)
+        # the first omitted term, rounded up
+        r = -_floor_scaled(-abs(omitted_num) * rising, omitted_den, bits - 4 * (s + 41))
+        lo, hi = (total - r) / one, (total + 37 + r) / one
+        if lo == hi:
+            return lo
+        bits *= 2
+    raise ArithmeticError(f"zeta({s}) lies too close to a rounding boundary")
 
 
 def bernoulli_lower_bound(k: int, conductor: int) -> float:
@@ -240,26 +283,37 @@ def finiteness_scan(
     survivors: list[ScanCell] = []
     cells: list[ScanCell] = []
     cutoffs: dict[int, int] = {}
+    admissible: dict[int, list[DirichletCharacter]] = {}  # modulus -> characters
     for k in range(3, k_enum + 1):
         l_star = conductor_cutoff(k, b_abs)
         bound = max(l_max, l_star)
         cutoffs[k] = l_star
         for modulus in range(1, bound + 1):
-            for phi in characters_mod(modulus):
-                if not phi.is_primitive():
-                    continue
-                if (phi**2).conductor() != modulus:
-                    continue
+            if modulus not in admissible:
+                admissible[modulus] = [
+                    phi
+                    for phi in characters_mod(modulus)
+                    if phi.is_primitive() and (phi**2).conductor() == modulus
+                ]
+            # alpha and beta of the conjugate of phi are phi's under the
+            # automorphism zeta -> zeta^-1, which fixes b and every |.|: the
+            # second character of a pair reads the first one's values
+            pending: dict[tuple[int, ...], tuple[float, float, bool]] = {}
+            for phi in admissible[modulus]:
                 if phi.parity() != (-1) ** k:
                     continue
-                alpha, beta = alpha_beta(k, phi)
-                ok = _q1_relation_holds(b, alpha, beta)
+                values = pending.pop(phi.exponents, None)
+                if values is None:
+                    alpha, beta = alpha_beta(k, phi)
+                    values = abs_embed(alpha), abs_embed(beta), _q1_relation_holds(b, alpha, beta)
+                    pending[(phi**-1).exponents] = values
+                alpha_abs, beta_abs, ok = values
                 cell = ScanCell(
                     k,
                     modulus,
                     phi.exponents,
-                    abs_embed(alpha),
-                    abs_embed(beta),
+                    alpha_abs,
+                    beta_abs,
                     ok,
                     "" if modulus <= l_star else "bound",
                 )

@@ -15,7 +15,7 @@ from functools import cache
 from typing import NamedTuple
 
 from .forms import delta, eisenstein_level1
-from .polys import RatPoly, clear_denominators
+from .polys import RatPoly, _fixed_eval, clear_denominators
 from .qseries import QSeries
 from .roots import aberth_roots, step_tolerance
 
@@ -102,16 +102,15 @@ class SeriesEvaluator:
 
     def __call__(self, q):
         """The sum at q, |q| < 1, as an mpc at DPS digits: q is rounded to 20
-        bits past the working precision, and each Horner step floors once at
-        that scale, so the integer sum is off by under sqrt(2) / (1 - |q|)."""
+        bits past the working precision, and each step of polys._fixed_eval
+        floors once at that scale, so the integer sum is off by under
+        sqrt(2) / (1 - |q|) units."""
         import mpmath
         with mpmath.workdps(DPS):
             q, bits = mpmath.mpmathify(q), mpmath.mp.prec + 20
             with mpmath.workprec(bits + 2):  # nint is exact here, as |q| < 1
                 qr, qi = (int(mpmath.nint(mpmath.ldexp(x, bits))) for x in (q.real, q.imag))
-            re = im = 0
-            for c in reversed(self.numerators):
-                re, im = ((re * qr - im * qi) >> bits) + (c << bits), (re * qi + im * qr) >> bits
+            re, im = _fixed_eval(self.numerators, qr, qi, bits)
             return mpmath.mpc(re, im) / (self.denominator << bits) * q**self.valuation
 
     def at(self, z):

@@ -333,7 +333,7 @@ def test_cli_import_does_not_load_numpy():
 
 def test_cli_import_loads_every_layer_but_not_mpmath_or_dataclasses():
     """Importing the CLI binds every layer, which the benchmark tracer relies
-    on; mpmath waits for the first numeric evaluation, and the records are
+    on; mpmath waits for the arc-zero search, and the records are
     NamedTuples, so neither mpmath nor dataclasses is loaded."""
     package = Path(__file__).resolve().parent.parent / "src" / "modforms"
     layers = sorted(f"modforms.{p.stem}" for p in package.glob("*.py") if p.stem != "__init__")
@@ -346,6 +346,30 @@ def test_cli_import_loads_every_layer_but_not_mpmath_or_dataclasses():
     loaded, mpmath_loaded, dataclasses_loaded = json.loads(result.stdout)
     assert [name for name in layers if name not in loaded] == []
     assert (mpmath_loaded, dataclasses_loaded) == (False, False)
+
+
+@pytest.mark.parametrize(
+    "argv, loads_mpmath",
+    [
+        (["bounds", "12", "1,3,4,5"], False),
+        (["finiteness", "--a", "1", "--b", "1", "--kmax", "30", "--lmax", "6"], False),
+        (["zeros", "2"], True),
+    ],
+)
+def test_only_zeros_loads_mpmath(argv, loads_mpmath):
+    """The bounds and finiteness checks run in integer arithmetic; only the
+    arc-zero search evaluates in mpmath."""
+    result = run_python(
+        "-c",
+        "import contextlib, io, json, sys\n"
+        "from modforms.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:] + ['--output', 'json'])\n"
+        "print(json.dumps([code, 'mpmath' in sys.modules]))",
+        *argv,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [0, loads_mpmath]
 
 
 def test_zero_tolerance_below_the_working_precision_finishes():

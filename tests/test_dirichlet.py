@@ -16,7 +16,9 @@ from modforms.dirichlet import (
     unit_group,
 )
 from modforms.numfield import cyclotomic_field
+from modforms.polys import _dense_eval
 from modforms.qseries import QSeries
+from modforms.scans import alpha_beta, finiteness_scan
 
 
 def gen_bernoulli_series_oracle(kmax: int, chi) -> list:
@@ -58,6 +60,33 @@ def gen_bernoulli_fraction_horner(k: int, chi):
         if val:
             total = total + field.zeta_pow(e) * val
     return total * Fraction(N) ** (k - 1)
+
+
+def bernoulli_recurrence(kmax: int) -> list:
+    """The former body of bernoulli_number, kept as its oracle: B_n from
+    sum_{j <= n} C(n + 1, j) B_j = 0 in Fractions."""
+    b = [Fraction(1)]
+    for n in range(1, kmax + 1):
+        b.append(-sum(math.comb(n + 1, j) * b[j] for j in range(n)) / (n + 1))
+    return b
+
+
+def abs_embed_mpmath(x) -> float:
+    """The former body of abs_embed, kept as its oracle: a floating Horner
+    in mpmath at the coordinates' bit length plus 106 bits, doubled until |x|
+    clears degree * 2^-prec * max|coord| by a factor 2^64."""
+    import mpmath
+
+    m = x.parent.zeta_order
+    bits = max(max(abs(c.numerator).bit_length(), c.denominator.bit_length()) for c in x.coords)
+    prec = bits + 106
+    while True:
+        with mpmath.workprec(prec):
+            coords = [mpmath.mpf(c.numerator) / c.denominator for c in x.coords]
+            value = mpmath.fabs(_dense_eval(coords, mpmath.exp(2j * mpmath.pi / m)))
+            if value >= mpmath.ldexp(len(coords) * max(map(mpmath.fabs, coords)), 64 - prec):
+                return float(value)
+        prec *= 2
 
 
 def odd_character_mod4():
@@ -128,6 +157,11 @@ def test_bernoulli_numbers():
     assert bernoulli_number(12) == Fraction(-691, 2730)
     assert bernoulli_number(16) == Fraction(-3617, 510)
     assert bernoulli_number(24) == Fraction(-236364091, 2730)
+
+
+def test_bernoulli_numbers_match_the_recurrence():
+    expected = bernoulli_recurrence(300)
+    assert [bernoulli_number(k) for k in range(301)] == expected
 
 
 def test_bernoulli_polynomial():
@@ -246,3 +280,15 @@ def test_abs_embed_relative_error_under_cancellation():
         exact = float(((1 + mpmath.sqrt(5)) / 2) ** -300)
     assert abs(abs_embed(x) / exact - 1) < 1e-12
     assert abs_embed(C5.zero()) == 0.0
+    assert abs_embed(x) == abs_embed_mpmath(x)
+
+
+def test_abs_embed_matches_mpmath_on_the_finiteness_scan():
+    # every alpha and beta of a benchmark finiteness job, conjugate cells included
+    report = finiteness_scan(Fraction(1), Fraction(1), 30, 14)
+    values = []
+    for cell in report.cells:
+        (phi,) = [c for c in characters_mod(cell.conductor) if c.exponents == cell.exponents]
+        values.extend(alpha_beta(cell.k, phi))
+    assert len(values) == 2 * len(report.cells) > 400
+    assert [abs_embed(x) for x in values] == [abs_embed_mpmath(x) for x in values]

@@ -1,12 +1,15 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from modforms.dirichlet import characters_mod, trivial_character
+from modforms.dirichlet import abs_embed, characters_mod, trivial_character
+from modforms import scans
 from modforms.polys import discriminant
 from modforms.scans import (
+    _q1_relation_holds,
     alpha_beta,
     bernoulli_bound_check,
     conductor_cutoff,
@@ -25,6 +28,20 @@ def test_zeta_direct():
     assert abs(zeta_direct(3) - 1.2020569031595943) < 1e-12
     with pytest.raises(ValueError):
         zeta_direct(2)
+
+
+def test_zeta_direct_matches_mpmath():
+    import mpmath
+
+    with mpmath.workdps(30):
+        expected = [float(mpmath.zeta(s)) for s in range(3, 401)]
+    assert [zeta_direct(s) for s in range(3, 401)] == expected
+
+
+def test_zeta_direct_at_a_huge_argument_is_quick():
+    start = time.perf_counter()
+    assert zeta_direct.__wrapped__(10**5) == 1.0
+    assert time.perf_counter() - start < 0.1
 
 
 def test_alpha_beta_values():
@@ -92,6 +109,26 @@ def test_finiteness_scan_unit_coefficients():
         ]
         assert len(chars) == 1
         assert eq12_holds_exactly(Fraction(1), cell.k, chars[0]) == cell.satisfies_eq
+
+
+def test_finiteness_cells_match_their_own_characters(monkeypatch):
+    # a conjugate pair is evaluated once; each cell still equals a direct
+    # evaluation of its own character
+    calls = []
+    monkeypatch.setattr(scans, "alpha_beta", lambda k, phi: calls.append(phi) or alpha_beta(k, phi))
+    report = finiteness_scan(Fraction(3), Fraction(-1, 7), 40, 12)
+    conjugate_cells = 0
+    for cell in report.cells:
+        (phi,) = [c for c in characters_mod(cell.conductor) if c.exponents == cell.exponents]
+        conjugate_cells += phi.order > 2
+        alpha, beta = alpha_beta(cell.k, phi)
+        assert (cell.alpha_abs, cell.beta_abs, cell.satisfies_eq) == (
+            abs_embed(alpha),
+            abs_embed(beta),
+            _q1_relation_holds(Fraction(-1, 7), alpha, beta),
+        ), cell
+    assert conjugate_cells > 100
+    assert len(calls) == len(report.cells) - conjugate_cells // 2
 
 
 def test_finiteness_scan_large_b_no_survivors():
