@@ -168,20 +168,19 @@ def _int_nth_root_exact(n: int) -> tuple[int, int] | None:
             return b, e
 
 
+def _divisors_from_factorization(factors: dict[int, int]) -> list[int]:
+    out = [1]
+    for p, e in factors.items():
+        out = [d * p**i for d in out for i in range(e + 1)]
+    return sorted(out)
+
+
 def divisors(n: int) -> list[int]:
-    """All positive divisors of n, sorted."""
-    n = abs(n)
-    if n == 0:
-        raise ValueError("0 has no divisor list")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    """All positive divisors of n, sorted, from the prime powers of factorize(n)."""
+    fact = factorize(n)
+    if not fact.complete:
+        raise ArithmeticError(f"cannot list the divisors of {n}: {fact.cofactor} is unfactored")
+    return _divisors_from_factorization(fact.factors)
 
 
 def sigma(e: int, n: int) -> int:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -61,17 +62,23 @@ def _parse_character(spec: str):
     return chars[index]
 
 
-def _emit(args, payload: dict, text_renderer=None) -> None:
+def _render_json(payload: dict) -> str:
+    return json.dumps(payload, indent=2)
+
+
+def _emit(args, payload: dict) -> None:
+    """Render the payload in the --output format (text through the
+    subcommand's render default) to stdout or --out."""
     fmt = args.output
     if fmt == "json":
-        out = json.dumps(payload, indent=2, sort_keys=False)
+        out = _render_json(payload)
     elif fmt == "csv":
         rows = payload.get("csv")
         if rows is None:
             raise CliError("this subcommand has no CSV rendering; use --output json")
         out = "\n".join(",".join(str(x) for x in row) for row in rows)
     else:
-        out = text_renderer(payload) if text_renderer else json.dumps(payload, indent=2)
+        out = args.render(payload)
     if args.out:
         try:
             with open(args.out, "w") as fh:
@@ -83,11 +90,12 @@ def _emit(args, payload: dict, text_renderer=None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns its payload and whether every check it ran
+# verified; main renders the payload and maps the verdict to the exit code.
 # ---------------------------------------------------------------------------
 
 
-def cmd_qexp(args) -> int:
+def cmd_qexp(args) -> tuple[dict, bool]:
     name = args.form
     if name.startswith("EisNk:"):
         try:
@@ -99,19 +107,13 @@ def cmd_qexp(args) -> int:
         form = eisenstein_levelN(
             _parse_character(psi_spec), _parse_character(phi_spec), t, k, prec
         )
-        _emit(args, form.as_json())
-        return EXIT_OK
+        return form.as_json(), True
     if name == "Delta":
-        prec = _resolve_prec(args, 12)
-        _emit(args, delta(prec).as_json())
-        return EXIT_OK
+        return delta(_resolve_prec(args, 12)).as_json(), True
     if name == "j":
-        prec = _resolve_prec(args, 12)
-        series = jfunction(prec)
-        payload = series.as_json()
+        payload = jfunction(_resolve_prec(args, 12)).as_json()
         payload["note"] = "series of j*q; shift the exponent down by one"
-        _emit(args, payload)
-        return EXIT_OK
+        return payload, True
     if name.startswith("Ek:"):
         try:
             k = int(name[3:])
@@ -121,46 +123,34 @@ def cmd_qexp(args) -> int:
         k = int(name[1:])
     else:
         raise CliError(f"unknown form {name!r}")
-    prec = _resolve_prec(args, k)
-    _emit(args, eisenstein_level1(k, prec).as_json())
-    return EXIT_OK
+    return eisenstein_level1(k, _resolve_prec(args, k)).as_json(), True
 
 
-def cmd_basis(args) -> int:
+def cmd_basis(args) -> tuple[dict, bool]:
     k = args.weight
     prec = _resolve_prec(args, k)
     basis = miller_basis(k, prec, cusp_only=args.cusp)
-    payload = {
-        "weight": k,
-        "cusp_only": args.cusp,
-        "dim": basis.dim,
-        "forms": [f.as_json() for f in basis.forms],
-    }
-    _emit(args, payload)
-    return EXIT_OK
+    forms = [f.as_json() for f in basis.forms]
+    return {"weight": k, "cusp_only": args.cusp, "dim": basis.dim, "forms": forms}, True
 
 
-def cmd_hecke(args) -> int:
-    matrix = hecke_matrix(args.index, args.weight)
-    _emit(args, matrix.as_json())
-    return EXIT_OK
+def cmd_hecke(args) -> tuple[dict, bool]:
+    return hecke_matrix(args.index, args.weight).as_json(), True
 
 
-def cmd_eigen(args) -> int:
+def cmd_eigen(args) -> tuple[dict, bool]:
     k = args.weight
     forms = eigenbasis(k, prec=args.prec)
     payload = {"weight": k, "dim": dim_Sk(k), "forms": [f.as_json() for f in forms]}
     if isinstance(forms[0].field, NumberField) and forms[0].field.degree == 2:
         payload["conjugate"] = galois_conjugate(forms[0]).as_json()
-    _emit(args, payload)
-    return EXIT_OK
+    return payload, True
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> tuple[dict, bool]:
     k = args.weight
     report = identities.nonvanishing_report(k, prec=args.prec)
-    _emit(args, report.as_json())
-    return EXIT_OK if report.all_nonzero else EXIT_FAILED
+    return report.as_json(), report.all_nonzero
 
 
 def _render_reports(payload: dict) -> str:
@@ -175,28 +165,25 @@ def _render_reports(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[dict, bool]:
     prec = args.prec if args.prec is not None else 100
     if args.target == "all":
         reports = identities.verify_all(prec)
     else:
         reports = [identities.VERIFY_TARGETS[args.target](prec)]
-    payload = {"reports": [r.as_json() for r in reports]}
-    _emit(args, payload, _render_reports)
-    return EXIT_OK if all(r.verified for r in reports) else EXIT_FAILED
+    return {"reports": [r.as_json() for r in reports]}, all(r.verified for r in reports)
 
 
-def cmd_zeros(args) -> int:
+def cmd_zeros(args) -> tuple[dict, bool]:
     report = zeros.jvalue_algebraicity_check(
         args.n,
         tol_match=args.tol_match,
         tol_zero=args.tol_zero,
     )
-    _emit(args, report.as_json())
-    return EXIT_OK if report.verified else EXIT_FAILED
+    return report.as_json(), report.verified
 
 
-def cmd_maeda(args) -> int:
+def cmd_maeda(args) -> tuple[dict, bool]:
     if args.range and args.weight is not None:
         raise CliError("give a weight or --range, not both")
     if args.range:
@@ -212,12 +199,10 @@ def cmd_maeda(args) -> int:
     else:
         raise CliError("give a weight or --range")
     reports = [scans.maeda_check(k) for k in ks]
-    payload = {"reports": [r.as_json() for r in reports]}
-    _emit(args, payload)
-    return EXIT_OK if all(r.irreducible for r in reports) else EXIT_FAILED
+    return {"reports": [r.as_json() for r in reports]}, all(r.irreducible for r in reports)
 
 
-def cmd_finiteness(args) -> int:
+def cmd_finiteness(args) -> tuple[dict, bool]:
     a, b = _parse_rational("--a", args.a), _parse_rational("--b", args.b)
     for flag, value in (("--kmax", args.kmax), ("--lmax", args.lmax)):
         if value < 1:
@@ -228,11 +213,10 @@ def cmd_finiteness(args) -> int:
         [c.k, c.conductor, f"{c.alpha_abs:.6e}", f"{c.beta_abs:.6e}", c.excluded_by or "enumerated"]
         for c in report.cells
     ]
-    _emit(args, payload)
-    return EXIT_OK
+    return payload, True
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> tuple[dict, bool]:
     k = args.weight
     checks, rows = [], {}
     for modulus in _parse_conductors(args.conductors):
@@ -256,14 +240,14 @@ def cmd_bounds(args) -> int:
         [c.k, c.conductor, f"{c.lower:.6e}", f"{c.actual:.6e}", f"{c.upper:.6e}", c.holds]
         for c in checks
     ]
-    _emit(args, payload)
-    return EXIT_OK if all(c.holds for c in checks) else EXIT_FAILED
+    return payload, payload["all_hold"]
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", choices=("text", "json", "csv"), default="text")
     common.add_argument("--out", help="write output to a file instead of stdout")
+    common.set_defaults(render=_render_json)
     precision = argparse.ArgumentParser(add_help=False, parents=[common])
     precision.add_argument("--prec", type=int, help="q-expansion precision override")
     tolerances = argparse.ArgumentParser(add_help=False, parents=[common])
@@ -302,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[precision], help="identity verification reports")
     p.add_argument("target", choices=(*identities.VERIFY_TARGETS, "all"))
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, render=_render_reports)
 
     p = sub.add_parser("zeros", parents=[tolerances], help="j-algebraicity report for weight 12n")
     p.add_argument("n", type=int)
@@ -334,19 +318,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_rational_values(argv: list[str]) -> list[str]:
+    """Read `--a -1/7` as `--a=-1/7`: argparse takes a token such as -1/7,
+    which is no negative number to it, for an option string."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in ("--a", "--b") and re.match(r"-[\d.]", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_rational_values(sys.argv[1:] if argv is None else argv))
     if hasattr(sys, "set_int_max_str_digits"):  # print our own exact integers in full
         sys.set_int_max_str_digits(0)
     try:
         prec = getattr(args, "prec", None)
         if prec is not None and prec <= 0:
             raise CliError("--prec must be positive")
-        return args.func(args)
+        payload, verified = args.func(args)
+        _emit(args, payload)
     except (CliError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK if verified else EXIT_FAILED
 
 
 if __name__ == "__main__":

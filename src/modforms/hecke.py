@@ -6,11 +6,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import divisors
+from .arith import divisors, squarefree_kernel
 from .dirichlet import DirichletCharacter
 from .forms import SpaceBasis, dim_Sk, miller_basis, weight_monomials
 from .linalg import charpoly_rational, invert_rational, kernel_vector, mat_mul, weighted_sum
-from .numfield import QQ, NumberField, field_json
+from .numfield import QQ, NumberField, NumberFieldElement, field_json
 from .polys import IrreducibilityCertificate, RatPoly, clear_denominators, poly_irreducible
 from .qseries import QSeries
 
@@ -129,6 +129,39 @@ def certified_charpoly(
     return matrix, cp, poly_irreducible(cp)
 
 
+def hecke_field(k: int, basis: SpaceBasis | None = None) -> tuple[HeckeMatrix, NumberField]:
+    """(T_2, Q(a_2)) in weight k: the one gate from the certificate of
+    certified_charpoly to a Hecke field. A charpoly that the certificate shows
+    reducible, or leaves undecided, raises UnsupportedHeckeField."""
+    matrix, cp, cert = certified_charpoly(k, basis)
+    if cert.is_reducible:
+        raise UnsupportedHeckeField(
+            f"T_{HECKE_INDEX} charpoly reducible in weight {k}: root {cert.witness_root}"
+        )
+    if not cert.is_irreducible:
+        raise UnsupportedHeckeField(
+            f"no irreducibility certificate for weight {k}: the T_{HECKE_INDEX} charpoly "
+            f"is {cert.status} after {len(cert.patterns)} primes"
+        )
+    return matrix, NumberField(cp, certificate=cert)
+
+
+def sqrt_of_disc_part(K: NumberField) -> tuple[NumberFieldElement, int]:
+    """For quadratic K = Q[x]/(x^2 - s x - c), return (sqrt(D), D) with D the
+    squarefree part of the discriminant; positive at the larger real root."""
+    assert K.degree == 2
+    s = -K.modulus.coeffs[1]
+    disc = K.certificate.discriminant
+    assert disc.denominator == 1
+    split = squarefree_kernel(disc.numerator)
+    if not split.complete:
+        raise ArithmeticError("could not certify the squarefree part of the discriminant")
+    d, fsq = split.squarefree, split.square_root
+    root = (2 * K.gen() - s) * Fraction(1, fsq)
+    assert root * root == d
+    return root, d
+
+
 class Eigenform(NamedTuple):
     weight: int
     field: object  # QQ or NumberField
@@ -170,17 +203,7 @@ def eigenbasis(k: int, prec: int | None = None) -> list[Eigenform]:
     n = HECKE_INDEX
     if prec <= n:
         raise ValueError(f"prec must exceed {n}: a_{n} generates the Hecke field")
-    matrix, cp, cert = certified_charpoly(k, basis)
-    if cert.is_reducible:
-        raise UnsupportedHeckeField(
-            f"T_{n} charpoly reducible in weight {k}: root {cert.witness_root}"
-        )
-    if not cert.is_irreducible:
-        raise UnsupportedHeckeField(
-            f"no irreducibility certificate for weight {k}: the T_{n} charpoly "
-            f"is {cert.status} after {len(cert.patterns)} primes"
-        )
-    field = NumberField(cp, certificate=cert)
+    matrix, field = hecke_field(k, basis)
     lam = field.gen()
     a = [
         [field.coerce(entry) - (lam if i == j else field.zero()) for j, entry in enumerate(row)]
@@ -197,7 +220,7 @@ def eigenbasis(k: int, prec: int | None = None) -> list[Eigenform]:
     ]
     g = Eigenform(k, field, QSeries(field, coeffs, prec), f"S{k}.a")
     assert g.a(n) == lam
-    assert cp.evaluate(lam) == field.zero()
+    assert field.modulus.evaluate(lam) == field.zero()
     return [g]
 
 

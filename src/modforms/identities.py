@@ -6,9 +6,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import sigma, squarefree_kernel
+from .arith import sigma
 from .forms import delta, dim_Sk, eisenstein_level1
-from .hecke import Eigenform, eigenbasis, galois_conjugate
+from .hecke import Eigenform, eigenbasis, galois_conjugate, sqrt_of_disc_part
 from .linalg import invert_rational, row_reduce, weighted_sum
 from .numfield import QQ, NumberField, NumberFieldElement
 from .qseries import QSeries
@@ -309,22 +309,6 @@ def nonvanishing_report(k: int, prec: int | None = None) -> NonvanishingReport:
 # ---------------------------------------------------------------------------
 
 
-def _sqrt_of_disc_part(K: NumberField) -> tuple[NumberFieldElement, int]:
-    """For quadratic K = Q[x]/(x^2 - s x - c), return (sqrt(D), D) with D the
-    squarefree part of the discriminant; positive at the larger real root."""
-    assert K.degree == 2
-    s = -K.modulus.coeffs[1]
-    disc = K.certificate.discriminant
-    assert disc.denominator == 1
-    split = squarefree_kernel(disc.numerator)
-    if not split.complete:
-        raise ArithmeticError("could not certify the squarefree part of the discriminant")
-    d, fsq = split.squarefree, split.square_root
-    root = (2 * K.gen() - s) * Fraction(1, fsq)
-    assert root * root == d
-    return root, d
-
-
 def verify_table1() -> IdentityReport:
     """Reconstruct both quadratic eigenform-square decomposition rows from the
     computed eigenbases and check the reference values.
@@ -342,7 +326,7 @@ def verify_table1() -> IdentityReport:
         f = eigenbasis(k, prec=TABLE1_PREC + 2)[0]
         dec = decompose_square(f, prec=TABLE1_PREC)
         K = dec.hecke_field
-        root, d = _sqrt_of_disc_part(K)
+        root, d = sqrt_of_disc_part(K)
         if d != TABLE1_DISCS[2 * k]:
             return False, f"discriminant part {d} != {TABLE1_DISCS[2 * k]}"
         terms = [p.coerce_into(K) for p in products]

@@ -10,7 +10,7 @@ from functools import lru_cache, partial
 from itertools import islice, zip_longest
 from typing import Iterable, NamedTuple, Sequence
 
-from .arith import divisors, factorize, iter_primes
+from .arith import _divisors_from_factorization, divisors, factorize, iter_primes
 
 # ---------------------------------------------------------------------------
 # Dense kernels: ascending coefficient lists over any coefficient ring, using
@@ -491,13 +491,6 @@ def _rational_square_root(x: Fraction) -> Fraction | None:
     if rn * rn == x.numerator and rd * rd == x.denominator:
         return Fraction(rn, rd)
     return None
-
-
-def _divisors_from_factorization(factors: dict[int, int]) -> list[int]:
-    out = [1]
-    for p, e in factors.items():
-        out = [d * p**i for d in out for i in range(e + 1)]
-    return sorted(out)
 
 
 def _rational_root_candidates(p: RatPoly) -> list[Fraction] | None:

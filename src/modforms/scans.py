@@ -20,7 +20,9 @@ from .dirichlet import (
 from .forms import dim_Sk
 # hecke_matrix stays bound here: perfbench/tests/test_bench_tracer.py checks
 # that the tracer replaces this binding along with the one in modforms.hecke
-from .hecke import HECKE_INDEX, certified_charpoly, hecke_matrix  # noqa: F401
+from .hecke import (  # noqa: F401
+    HECKE_INDEX, certified_charpoly, hecke_field, hecke_matrix, sqrt_of_disc_part,
+)
 from .numfield import NumberFieldElement, dedekind_index_test, embed_cyclotomic
 from .polys import IrreducibilityCertificate, RatPoly
 
@@ -490,16 +492,10 @@ def hecke_field_intersection_check(k: int) -> IntersectionReport:
         )
     if d1 != 2:
         raise ValueError("the quadratic-side route needs dim 2 in weight k")
-    _, _, cert1 = certified_charpoly(k)
-    if not cert1.is_irreducible:
-        raise ArithmeticError(f"weight-{k} charpoly not certified irreducible")
-    _, cp2, cert2 = certified_charpoly(2 * k)
-    if not cert2.is_irreducible:
-        raise ArithmeticError(f"weight-{2 * k} charpoly not certified irreducible")
-    disc1, disc2 = cert1.discriminant, cert2.discriminant
-    split = squarefree_kernel(disc1.numerator)
-    assert split.complete
-    quad_disc = quad_field_discriminant(split.squarefree)
+    _, K1 = hecke_field(k)
+    _, K2 = hecke_field(2 * k)
+    disc1, disc2 = K1.certificate.discriminant, K2.certificate.discriminant
+    quad_disc = quad_field_discriminant(sqrt_of_disc_part(K1)[1])
     g = math.gcd(abs(disc1.numerator), abs(disc2.numerator))
     fact = factorize(g, trial_bound=10**6, rho_iterations=0)
     findings: list[SharedPrimeFinding] = []
@@ -509,7 +505,7 @@ def hecke_field_intersection_check(k: int) -> IntersectionReport:
         if not ram1:
             findings.append(SharedPrimeFinding(p, False, None, "clear"))
             continue
-        divides_index = dedekind_index_test(cp2, p)
+        divides_index = dedekind_index_test(K2.modulus, p)
         if not divides_index:
             # p divides the charpoly discriminant but not the index, so it
             # divides the field discriminant on the 2k side as well

@@ -205,9 +205,6 @@ def find_arc_zeros(k: int, tol: float = 1e-12) -> list[ArcZero]:
         for i in range(len(grid) - 1):
             a, b = grid[i], grid[i + 1]
             fa, fb = values[i], values[i + 1]
-            if fa == 0:
-                zeros.append(ArcZero(float(a), 0.0))
-                continue
             if fa * fb < 0:
                 while b - a > tol:
                     mid = (a + b) / 2

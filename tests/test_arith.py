@@ -43,6 +43,28 @@ def test_factorize_reconstructs():
         assert prod == n
 
 
+def _divisors_by_trial_division(n: int) -> list[int]:
+    """The former arith.divisors body, kept as an oracle."""
+    n = abs(n)
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+def test_divisors_match_trial_division():
+    for n in range(1, 5001):
+        assert divisors(n) == _divisors_by_trial_division(n), n
+    assert divisors(-360) == _divisors_by_trial_division(360)
+    with pytest.raises(ValueError):
+        divisors(0)
+
+
 def test_divisors_and_sigma():
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert sigma(11, 2) == 1 + 2**11

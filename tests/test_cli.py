@@ -9,7 +9,7 @@ import pytest
 
 from modforms import hecke, identities, scans
 from modforms.arith import SquarefreeSplit
-from modforms.cli import main
+from modforms.cli import _render_reports, build_parser, main
 from modforms.polys import RatPoly, discriminant, poly_irreducible
 
 
@@ -133,6 +133,49 @@ def test_finiteness_subcommand(capsys):
     payload = json.loads(out)
     assert payload["survivors"] == []
     assert payload["complete"] is True
+
+
+def test_finiteness_reads_a_negative_rational_as_its_own_token(capsys):
+    """argparse takes -1/7 for an option string; `--b -1/7` must run as `--b=-1/7`."""
+    base = ["finiteness", "--kmax", "10", "--lmax", "6", "--output", "json"]
+    joined = run_cli(capsys, *base, "--a", "3", "--b=-1/7")
+    assert joined[0] == 0 and joined[2] == ""
+    assert run_cli(capsys, *base, "--a", "3", "--b", "-1/7") == joined
+    assert json.loads(joined[1])["b"] == "-1/7"
+    assert run_cli(capsys, *base, "--a", "-2/3", "--b", "-1/7")[0] == 0
+
+
+# one run per subcommand, with the exit code main maps its verdict to
+SUBCOMMAND_RUNS = [
+    (["qexp", "E4", "--prec", "4"], 0),
+    (["basis", "24", "--cusp"], 0),
+    (["hecke", "2", "24"], 0),
+    (["eigen", "24"], 0),
+    (["decompose", "12"], 0),
+    (["verify", "ramanujan", "--prec", "20"], 0),
+    (["zeros", "2", "--tol-match", "1e-30"], 1),
+    (["maeda", "24"], 0),
+    (["finiteness", "--a", "1", "--b", "1", "--kmax", "10", "--lmax", "6"], 0),
+    (["bounds", "12", "1,3,4"], 0),
+]
+
+
+def test_subcommand_runs_cover_every_subcommand():
+    [sub] = [a for a in build_parser()._actions if a.dest == "command"]
+    assert sorted(argv[0] for argv, _ in SUBCOMMAND_RUNS) == sorted(sub.choices)
+
+
+@pytest.mark.parametrize("argv, code", SUBCOMMAND_RUNS, ids=[r[0][0] for r in SUBCOMMAND_RUNS])
+def test_main_renders_every_subcommand(capsys, argv, code):
+    """Text output is the JSON payload, except verify's report lines."""
+    text = run_cli(capsys, *argv, "--output", "text")
+    as_json = run_cli(capsys, *argv, "--output", "json")
+    assert (text[0], as_json[0], text[2], as_json[2]) == (code, code, "", "")
+    if argv[0] == "verify":
+        assert text[1] == _render_reports(json.loads(as_json[1])) + "\n"
+        assert text[1].startswith("ramanujan    VERIFIED")
+    else:
+        assert text[1] == as_json[1]
 
 
 def test_bounds_subcommand_csv(capsys):

@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from modforms.dirichlet import abs_embed, characters_mod, trivial_character
-from modforms import scans
-from modforms.polys import discriminant
+from modforms import hecke, scans
+from modforms.hecke import UnsupportedHeckeField
+from modforms.polys import RatPoly, discriminant, poly_irreducible
 from modforms.scans import (
     _q1_relation_holds,
     alpha_beta,
@@ -214,6 +215,17 @@ def test_intersection_checks():
     rep16 = hecke_field_intersection_check(16)
     assert rep16.verdict == "coprime"
     assert "rational" in rep16.detail
+
+
+def test_intersection_check_without_a_certificate_raises(monkeypatch):
+    """The check reads both fields through hecke.hecke_field, so an undecided
+    weight-k certificate is an error, never a verdict."""
+    cp = RatPoly([1, 0, 0, 0, 1])  # x^4 + 1 splits mod every prime: no certificate
+    cert = poly_irreducible(cp)
+    assert cert.status == "unknown"
+    monkeypatch.setattr(hecke, "certified_charpoly", lambda k, basis=None: (None, cp, cert))
+    with pytest.raises(UnsupportedHeckeField, match="no irreducibility certificate for weight 24"):
+        hecke_field_intersection_check(24)
 
 
 def test_intersection_quadratic_side_matches_reference_table():
