@@ -116,18 +116,14 @@ def factorize(
             n //= p
         p += wheel[i]
         i = (i + 1) % 8
-    if n == 1:
-        return Factorization(factors, 1)
-    if n <= trial_bound * trial_bound or is_probable_prime(n):
-        # trial division reached sqrt(n), or n certified (probable) prime
-        factors[n] = factors.get(n, 0) + 1
-        return Factorization(factors, 1)
-    stack = [n]
+    stack = [n] if n > 1 else []
     cofactor = 1
     seed = 1
     while stack:
         m = stack.pop()
-        if is_probable_prime(m):
+        # trial division left no prime factor up to trial_bound, so m is prime
+        # when it is below trial_bound**2, and is tested only otherwise
+        if m <= trial_bound * trial_bound or is_probable_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue
         root = _int_nth_root_exact(m)

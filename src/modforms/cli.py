@@ -191,7 +191,7 @@ def cmd_maeda(args) -> tuple[dict, bool]:
             lo, hi = (int(x) for x in args.range.split(".."))
         except ValueError:
             raise CliError("range must look like k1..k2")
-        ks = [k for k in range(lo, hi + 1) if k % 2 == 0 and dim_Sk(k) >= 1]
+        ks = [k for k in range(lo, hi + 1) if dim_Sk(k) >= 1]
         if not ks:
             raise CliError(f"range {args.range} holds no weight with cusp forms")
     elif args.weight is not None:

@@ -61,6 +61,14 @@ def dim_Sk(k: int) -> int:
     return max(dim_Mk(k) - 1, 0)
 
 
+def cusp_dim(k: int) -> int:
+    """dim S_k for a weight that has cusp forms; ValueError for one without."""
+    d = dim_Sk(k)
+    if d == 0:
+        raise ValueError(f"weight {k} has no cusp forms")
+    return d
+
+
 def eisenstein_level1(k: int, prec: int) -> ModularForm:
     """E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n, exact rational coefficients."""
     if k % 2 or k < 4:

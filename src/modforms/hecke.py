@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 from .arith import divisors, squarefree_kernel
 from .dirichlet import DirichletCharacter
-from .forms import SpaceBasis, dim_Sk, miller_basis, weight_monomials
+from .forms import SpaceBasis, cusp_dim, miller_basis, weight_monomials
 from .linalg import charpoly_rational, invert_rational, kernel_vector, mat_mul, weighted_sum
 from .numfield import QQ, NumberField, NumberFieldElement, field_json
 from .polys import IrreducibilityCertificate, RatPoly, clear_denominators, poly_irreducible
@@ -95,9 +95,7 @@ def hecke_matrix(n: int, k: int, basis: SpaceBasis | None = None) -> HeckeMatrix
     """
     if n < 1:
         raise ValueError("operator index must be positive")
-    d = dim_Sk(k)
-    if d < 1:
-        raise ValueError(f"weight {k} has no cusp forms")
+    d = cusp_dim(k)
     need = n * (d + 1) + 2
     if basis is None or basis.prec < need:
         basis = miller_basis(k, need, cusp_only=True)
@@ -192,9 +190,7 @@ def eigenbasis(k: int, prec: int | None = None) -> list[Eigenform]:
     charpoly, and a_2 is the field generator; the Galois conjugates of the
     returned form are implicit.
     """
-    d = dim_Sk(k)
-    if d == 0:
-        raise ValueError(f"weight {k} has no cusp forms")
+    d = cusp_dim(k)
     if prec is None:
         prec = max(3 * d + 5, 12)
     basis = miller_basis(k, max(prec, 3 * d + 5), cusp_only=True)

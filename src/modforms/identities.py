@@ -7,10 +7,10 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .arith import sigma
-from .forms import delta, dim_Sk, eisenstein_level1
+from .forms import cusp_dim, delta, dim_Sk, eisenstein_level1
 from .hecke import Eigenform, eigenbasis, galois_conjugate, sqrt_of_disc_part
 from .linalg import invert_rational, row_reduce, weighted_sum
-from .numfield import QQ, NumberField, NumberFieldElement
+from .numfield import QQ, NumberField, NumberFieldElement, coeff_json
 from .qseries import QSeries
 
 # Reference constants the verification suite reproduces (exact rationals).
@@ -200,9 +200,7 @@ def decompose_in_eigenbasis(
 ) -> EigenDecomposition:
     """Decompose a cusp expansion against the normalized eigenbasis of the
     given weight; exact in the base field of the input."""
-    d2 = dim_Sk(weight)
-    if d2 == 0:
-        raise ValueError(f"weight {weight} has no cusp forms")
+    d2 = cusp_dim(weight)
     if prec is None:
         prec = min(series.prec, max(3 * d2 + 5, 20))
     if series.prec < prec:
@@ -255,7 +253,7 @@ class NonvanishingReport(NamedTuple):
     dim: int
     all_nonzero: bool
     vanishing_count: int
-    entries: list[tuple[int, str | None, bool]]  # (index, exact value when available, is_zero)
+    entries: list[tuple[int, str | list[str] | None, bool]]  # (index, coeff_json or None, is_zero)
     decomposition: EigenDecomposition
 
     def as_json(self) -> dict:
@@ -279,21 +277,18 @@ def nonvanishing_report(k: int, prec: int | None = None) -> NonvanishingReport:
     eigenform: distinct eigenforms are orthogonal with positive norms, so the
     projection cannot vanish while the coefficient does not.
     """
-    d2 = dim_Sk(2 * k)
-    depth = max(3 * d2 + 5, prec or 20)
-    f = eigenbasis(k, prec=depth)[0]
-    dec = decompose_square(f, prec=min(depth, prec or depth))
-    entries: list[tuple[int, str | None, bool]] = []
+    f = eigenbasis(k, prec=max(3 * dim_Sk(2 * k) + 5, prec or 20))[0]
+    dec = decompose_square(f, prec=prec)
+    entries: list[tuple[int, str | list[str] | None, bool]] = []
     if (
         dec.base_field is QQ
         and isinstance(dec.hecke_field, NumberField)
         and dec.hecke_field.degree == 2
     ):
-        c1, c2 = dec.conjugate_pair()
-        entries.append((1, str(list(map(str, c1.coords))), c1.is_zero()))
-        entries.append((2, str(list(map(str, c2.coords))), c2.is_zero()))
+        for i, c in enumerate(dec.conjugate_pair(), 1):
+            entries.append((i, coeff_json(c), c.is_zero()))
     elif dec.dim == 1:
-        entries.append((1, str(dec.coords[0]), dec.coords[0] == 0))
+        entries.append((1, coeff_json(dec.coords[0]), dec.coords[0] == 0))
     else:
         # per-index values live in conjugate embeddings; only the exact count
         # of vanishing ones is listed
@@ -323,8 +318,7 @@ def verify_table1() -> IdentityReport:
     def check_row(k: int, products: tuple[QSeries, QSeries], scales) -> tuple[bool, str]:
         """The row's series is sum_i scales(K, root)_i * products_i, with the
         products over Q and the scales in the Hecke field K."""
-        f = eigenbasis(k, prec=TABLE1_PREC + 2)[0]
-        dec = decompose_square(f, prec=TABLE1_PREC)
+        dec = nonvanishing_report(k, prec=TABLE1_PREC).decomposition
         K = dec.hecke_field
         root, d = sqrt_of_disc_part(K)
         if d != TABLE1_DISCS[2 * k]:

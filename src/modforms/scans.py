@@ -17,7 +17,7 @@ from .dirichlet import (
     characters_mod,
     gen_bernoulli,
 )
-from .forms import dim_Sk
+from .forms import cusp_dim
 # hecke_matrix stays bound here: perfbench/tests/test_bench_tracer.py checks
 # that the tracer replaces this binding along with the one in modforms.hecke
 from .hecke import (  # noqa: F401
@@ -413,9 +413,7 @@ def maeda_check(k: int) -> MaedaReport:
     """Irreducibility certificate for the T_2 charpoly plus mod-p cycle-type
     evidence for the full symmetric group (one-sided, explicitly heuristic).
     The evidence reads the patterns of hecke.certified_charpoly's certificate."""
-    d = dim_Sk(k)
-    if d < 1:
-        raise ValueError(f"weight {k} has no cusp forms")
+    d = cusp_dim(k)
     if d == 1:
         return MaedaReport(k, 1, None, None, None, True, None)
     _, cp, cert = certified_charpoly(k)
@@ -483,9 +481,7 @@ def hecke_field_intersection_check(k: int) -> IntersectionReport:
     Dedekind index test on the 2k side for any genuinely shared ramified
     prime. Inconclusive primes are reported as unknown, never passed.
     """
-    d1 = dim_Sk(k)
-    if d1 == 0:
-        raise ValueError(f"weight {k} has no cusp forms")
+    d1 = cusp_dim(k)
     if d1 == 1:
         return IntersectionReport(
             k, (k, 2 * k), "coprime", None, None, None, [], detail="rational Hecke field"

@@ -175,3 +175,22 @@ def test_the_rho_cap_leaves_a_composite_cofactor(iterations):
     assert is_probable_prime(p) and is_probable_prime(q)
     assert factorize(p * q, trial_bound=100, rho_iterations=iterations) == ({}, p * q)
     assert factorize(p * q, trial_bound=100).factors == {p: 1, q: 1}
+
+
+def test_factorize_tests_each_cofactor_for_primality_once(monkeypatch):
+    """Trial division leaves no prime factor up to trial_bound, so an integer
+    below trial_bound**2 is prime untested, and every larger one is tested
+    once: 1000003 is above the bound and splits off by rho, and the product
+    of the two Mersenne primes stays the cofactor."""
+    calls: dict[int, int] = {}
+
+    def counted(m):
+        calls[m] = calls.get(m, 0) + 1
+        return is_probable_prime(m)
+
+    monkeypatch.setattr(arith, "is_probable_prime", counted)
+    cofactor = (2**89 - 1) * (2**107 - 1)
+    f = arith.factorize(cofactor * 1000003)
+    assert (f.factors, f.cofactor) == ({1000003: 1}, cofactor)
+    repeated = {m: c for m, c in calls.items() if m >= arith.DEFAULT_TRIAL_BOUND**2 and c > 1}
+    assert repeated == {}

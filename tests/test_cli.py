@@ -10,6 +10,7 @@ import pytest
 from modforms import hecke, identities, scans
 from modforms.arith import SquarefreeSplit
 from modforms.cli import _render_reports, build_parser, main
+from modforms.numfield import coeff_json
 from modforms.polys import RatPoly, discriminant, poly_irreducible
 
 
@@ -65,6 +66,8 @@ def test_eigen_and_decompose(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["all_nonzero"] is True
+    pair = identities.nonvanishing_report(12).decomposition.conjugate_pair()
+    assert [e["value"] for e in payload["entries"]] == [coeff_json(c) for c in pair]
 
 
 def test_verify_all_exit_zero(capsys):
@@ -397,11 +400,18 @@ def test_cli_import_loads_every_layer_but_not_mpmath_or_dataclasses():
         (["bounds", "12", "1,3,4,5"], False),
         (["finiteness", "--a", "1", "--b", "1", "--kmax", "30", "--lmax", "6"], False),
         (["zeros", "2"], True),
+        (["qexp", "Delta", "--prec", "10"], False),
+        (["basis", "24"], False),
+        (["hecke", "2", "24"], False),
+        (["eigen", "24"], False),
+        (["decompose", "12"], False),
+        (["verify", "all"], False),
+        (["maeda", "24"], False),
     ],
 )
 def test_only_zeros_loads_mpmath(argv, loads_mpmath):
-    """The bounds and finiteness checks run in integer arithmetic; only the
-    arc-zero search evaluates in mpmath."""
+    """Every subcommand but zeros runs in exact or integer arithmetic; only
+    the arc-zero search evaluates in mpmath."""
     result = run_python(
         "-c",
         "import contextlib, io, json, sys\n"
