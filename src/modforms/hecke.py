@@ -8,10 +8,12 @@ from typing import NamedTuple
 
 from .arith import divisors, squarefree_kernel
 from .dirichlet import DirichletCharacter
-from .forms import SpaceBasis, cusp_dim, miller_basis, weight_monomials
-from .linalg import charpoly_rational, invert_rational, kernel_vector, mat_mul, weighted_sum
+from .forms import SpaceBasis, cusp_dim, miller_basis
+from .linalg import charpoly_rational, kernel_vector, weighted_sum
 from .numfield import QQ, NumberField, NumberFieldElement, field_json
-from .polys import IrreducibilityCertificate, RatPoly, clear_denominators, poly_irreducible
+from .polys import (
+    IrreducibilityCertificate, RatPoly, clear_denominators, discriminant, poly_irreducible,
+)
 from .qseries import QSeries
 
 
@@ -149,7 +151,7 @@ def sqrt_of_disc_part(K: NumberField) -> tuple[NumberFieldElement, int]:
     squarefree part of the discriminant; positive at the larger real root."""
     assert K.degree == 2
     s = -K.modulus.coeffs[1]
-    disc = K.certificate.discriminant
+    disc = discriminant(K.modulus)
     assert disc.denominator == 1
     split = squarefree_kernel(disc.numerator)
     if not split.complete:
@@ -228,21 +230,3 @@ def galois_conjugate(f: Eigenform) -> Eigenform:
         raise UnsupportedHeckeField("conjugation implemented for degree <= 2 fields")
     series = f.series.map_coefficients(f.field, f.field.conjugate_quadratic)
     return Eigenform(f.weight, f.field, series, f.label + "'")
-
-
-def hecke_matrix_power_basis(n: int, k: int) -> list[list[Fraction]]:
-    """Matrix of T_n on the cusp monomial basis {Delta^j E_4^((k-12j)/4)},
-    j = 1..dim; requires 4 | k. Entries land in Z, which is asserted."""
-    if k % 4:
-        raise ValueError("the power basis needs 4 | k")
-    m = hecke_matrix(n, k)
-    d = m.dim
-    # with 4 | k these are Miller's monomials for j >= 1
-    monos = weight_monomials(k, d + 1)[1:]
-    p = [[monos[j].coeff(i + 1) for j in range(d)] for i in range(d)]
-    result = mat_mul(mat_mul(invert_rational(p), [list(r) for r in m.entries]), p)
-    for row in result:
-        for x in row:
-            if x.denominator != 1:
-                raise AssertionError(f"non-integral entry {x} in the power basis")
-    return result

@@ -1,17 +1,18 @@
-"""Small dense exact linear algebra: rational matrices and kernels over
-number fields."""
+"""Small dense exact linear algebra: products, charpolys on integers, and
+row reduction for inverses over Q and kernels over number fields."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .polys import RatPoly
+from .polys import RatPoly, clear_denominators
 
 
 def mat_mul(a, b):
+    """Product of matrices over Z or Q (the int 0 starts every entry)."""
     assert len(a[0]) == len(b)
     cols = list(zip(*b))
-    return [[weighted_sum(row, col, Fraction(0)) for col in cols] for row in a]
+    return [[weighted_sum(row, col, 0) for col in cols] for row in a]
 
 
 def weighted_sum(elems, weights, zero):
@@ -25,20 +26,22 @@ def weighted_sum(elems, weights, zero):
 
 
 def charpoly_rational(a) -> RatPoly:
-    """Characteristic polynomial det(xI - A) by Faddeev-LeVerrier, exact."""
+    """det(xI - A) for a rational matrix A by Faddeev-LeVerrier on the integer
+    matrix B = D A (D clears the denominators): M_1 = B, M_k = B (M_(k-1) +
+    c_(n-k+1) I), c_(n-k) = -tr(M_k) / k, exact since det(xI - B) is integral;
+    its c_i is D^(n-i) times that of det(xI - A)."""
     n = len(a)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    mk = [row[:] for row in a]
+    D, flat = clear_denominators([x for row in a for x in row])
+    b = [flat[i * n : (i + 1) * n] for i in range(n)]
+    c = [0] * n + [1]
+    m = [row[:] for row in b]
     for k in range(1, n + 1):
         if k > 1:
-            shifted = [
-                [mk[i][j] + (coeffs[n - k + 1] if i == j else 0) for j in range(n)]
-                for i in range(n)
-            ]
-            mk = mat_mul(a, shifted)
-        coeffs[n - k] = -sum((mk[i][i] for i in range(n)), Fraction(0)) / k
-    return RatPoly(coeffs)
+            for i in range(n):
+                m[i][i] += c[n - k + 1]
+            m = mat_mul(b, m)
+        c[n - k] = -sum(m[i][i] for i in range(n)) // k
+    return RatPoly([Fraction(x, D ** (n - i)) for i, x in enumerate(c)])
 
 
 def row_reduce(m, zero, one) -> list[int]:

@@ -427,7 +427,7 @@ def radical_mod_p(f: list[int], q: int) -> list[int]:
 
 def factor_degrees_mod_p(p: RatPoly, q: int) -> list[int]:
     """Degrees of the irreducible factors of p mod q (sorted, with multiplicity
-    of distinct factors; requires p squarefree mod q)."""
+    of distinct factors); raises ValueError when p is not squarefree mod q."""
     if p.degree < 1:
         raise ValueError("degree >= 1 required")
     f = poly_mod_p(p, q)
@@ -463,13 +463,11 @@ def factor_degrees_mod_p(p: RatPoly, q: int) -> list[int]:
 class IrreducibilityCertificate(NamedTuple):
     """Outcome of poly_irreducible with the data it was decided on.
 
-    discriminant is disc(p); patterns maps each prime poly_irreducible read to
-    the factor degrees of p mod that prime (empty for degree 1 and when the
-    discriminant vanishes).
+    patterns maps each prime poly_irreducible read to the factor degrees of p
+    mod that prime (empty for degree 1 and when the discriminant vanishes).
     """
 
     status: str  # "irreducible" | "reducible" | "unknown"
-    discriminant: Fraction
     patterns: dict[int, tuple[int, ...]]
     witness_prime: int | None = None
     witness_root: Fraction | None = None
@@ -481,16 +479,6 @@ class IrreducibilityCertificate(NamedTuple):
     @property
     def is_reducible(self) -> bool:
         return self.status == "reducible"
-
-
-def _rational_square_root(x: Fraction) -> Fraction | None:
-    if x < 0:
-        return None
-    rn = math.isqrt(x.numerator)
-    rd = math.isqrt(x.denominator)
-    if rn * rn == x.numerator and rd * rd == x.denominator:
-        return Fraction(rn, rd)
-    return None
 
 
 def _rational_root_candidates(p: RatPoly) -> list[Fraction] | None:
@@ -527,35 +515,53 @@ def _subset_sums(pattern: Sequence[int]) -> int:
 def poly_irreducible(p: RatPoly) -> IrreducibilityCertificate:
     """Certificate-based irreducibility test over Q.
 
-    The mod-p factor patterns come first, at the first 30 primes dividing no
-    coefficient denominator, the leading numerator or the discriminant.
+    The mod-q factor patterns come first, at the first 30 good primes: q
+    divides neither den (the lcm of the coefficient denominators) nor the
+    leading numerator, and factor_degrees_mod_p finds p squarefree mod q. A
+    skipped q divides disc(P), P = den p, and |disc(P)| <= d^d (sum c_i^2)^(d-1)
+    over the coefficients c_i of P (Mahler, 1964): once the skipped primes'
+    product passes that bound, disc(P) = 0 and no pattern is read.
     Rational-root candidates are tried only while every pattern still allows
     a linear factor, since a rational root shows up as a 1 in every pattern.
-    While a proper factor degree stays open, one more prime is read at a
-    time, up to 4d primes for degree d. Witnesses:
+    While a proper factor degree stays open, one more good prime is read at
+    a time, up to 4d primes for degree d. Witnesses:
 
     - "irreducible": a prime where p stays in one piece, a pattern set that
       rules out every proper factor degree, or (degree <= 3) the absence of
-      a rational root, which for degree 2 is a non-square discriminant;
+      a rational root, which for degree 2 is a non-square b^2 - 4ac of P;
     - "reducible": a rational root;
     - anything else is "unknown".
     """
     d = p.degree
     if d < 1:
         raise ValueError("degree >= 1 required")
-    disc = discriminant(p)
     if d == 1:
-        return IrreducibilityCertificate("irreducible", disc, {})
-    den, _ = clear_denominators(p.coeffs)
-    bad = den * p.lead.numerator * disc.numerator  # 0 when p is not squarefree
-    good = (q for q in iter_primes() if bad % q) if bad else iter(())
-    patterns = {q: tuple(factor_degrees_mod_p(p, q)) for q in islice(good, 30)}
-    cert = partial(IrreducibilityCertificate, discriminant=disc, patterns=patterns)
+        return IrreducibilityCertificate("irreducible", {})
+    den, P = clear_denominators(p.coeffs)
+    bad, mahler = den * p.lead.numerator, d**d * sum(c * c for c in P) ** (d - 1)
+
+    def good_patterns():
+        skipped = 1
+        for q in (q for q in iter_primes() if bad % q):
+            try:
+                pattern = tuple(factor_degrees_mod_p(p, q))
+            except ValueError:  # q is prime to bad, so p is not squarefree mod q
+                skipped *= q
+                if skipped > mahler:
+                    return
+                continue
+            yield q, pattern
+
+    good = good_patterns()
+    patterns = dict(islice(good, 30))
+    cert = partial(IrreducibilityCertificate, patterns=patterns)
     if d == 2:
-        root = _rational_square_root(disc)
-        if root is None:
+        c, b, a = P
+        disc = b * b - 4 * a * c
+        r = math.isqrt(max(disc, 0))
+        if r * r != disc:
             return cert("irreducible")
-        return cert("reducible", witness_root=(-p.coeffs[1] + root) / (2 * p.coeffs[2]))
+        return cert("reducible", witness_root=Fraction(r - b, 2 * a))
     if all(1 in pat for pat in patterns.values()):
         candidates = _rational_root_candidates(p)
         if candidates is not None:
@@ -569,10 +575,9 @@ def poly_irreducible(p: RatPoly) -> IrreducibilityCertificate:
     open_degrees = (1 << (d // 2 + 1)) - 2
     for pat in patterns.values():
         open_degrees &= _subset_sums(pat)
-    for q in good:
-        if not open_degrees or len(patterns) >= 4 * d:
-            break
-        patterns[q] = pat = tuple(factor_degrees_mod_p(p, q))
+    while open_degrees and len(patterns) < 4 * d and (read := next(good, None)):
+        q, pat = read
+        patterns[q] = pat
         open_degrees &= _subset_sums(pat)
     for q, pat in patterns.items():
         if pat == (d,):

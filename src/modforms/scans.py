@@ -24,7 +24,7 @@ from .hecke import (  # noqa: F401
     HECKE_INDEX, certified_charpoly, hecke_field, hecke_matrix, sqrt_of_disc_part,
 )
 from .numfield import NumberFieldElement, dedekind_index_test, embed_cyclotomic
-from .polys import IrreducibilityCertificate, RatPoly
+from .polys import IrreducibilityCertificate, RatPoly, discriminant
 
 
 def _floor_scaled(num: int, den: int, shift: int) -> int:
@@ -339,20 +339,19 @@ def finiteness_scan(
 
 
 class MaedaReport(NamedTuple):
-    """The discriminant and cycle-type flags read the certificate; the report
-    of a one-dimensional space has no certificate and every flag set."""
+    """poly_disc is the discriminant of the charpoly, computed once per weight
+    and split into disc_squarefree; the cycle-type flags read the
+    certificate's patterns. The report of a one-dimensional space has no
+    charpoly, no certificate and every flag set."""
 
     weight: int
     dim: int
     charpoly: RatPoly | None
     certificate: IrreducibilityCertificate | None
+    poly_disc: Fraction | None
     disc_squarefree: int | None
     disc_factor_complete: bool
     quad_field_disc: int | None
-
-    @property
-    def poly_disc(self) -> Fraction | None:
-        return self.certificate.discriminant if self.certificate else None
 
     @property
     def patterns(self) -> dict[int, tuple[int, ...]]:
@@ -415,12 +414,11 @@ def maeda_check(k: int) -> MaedaReport:
     The evidence reads the patterns of hecke.certified_charpoly's certificate."""
     d = cusp_dim(k)
     if d == 1:
-        return MaedaReport(k, 1, None, None, None, True, None)
+        return MaedaReport(k, 1, None, None, None, None, True, None)
     _, cp, cert = certified_charpoly(k)
+    disc = discriminant(cp)
     # bounded caps: large higher-degree discriminants come back flagged partial
-    split = squarefree_kernel(
-        cert.discriminant.numerator, trial_bound=10**5, rho_iterations=20_000
-    )
+    split = squarefree_kernel(disc.numerator, trial_bound=10**5, rho_iterations=20_000)
     quad_disc = None
     if d == 2 and split.complete:
         quad_disc = quad_field_discriminant(split.squarefree)
@@ -429,6 +427,7 @@ def maeda_check(k: int) -> MaedaReport:
         d,
         cp,
         cert,
+        disc,
         split.squarefree if split.complete else None,
         split.complete,
         quad_disc,
@@ -490,7 +489,7 @@ def hecke_field_intersection_check(k: int) -> IntersectionReport:
         raise ValueError("the quadratic-side route needs dim 2 in weight k")
     _, K1 = hecke_field(k)
     _, K2 = hecke_field(2 * k)
-    disc1, disc2 = K1.certificate.discriminant, K2.certificate.discriminant
+    disc1, disc2 = discriminant(K1.modulus), discriminant(K2.modulus)
     quad_disc = quad_field_discriminant(sqrt_of_disc_part(K1)[1])
     g = math.gcd(abs(disc1.numerator), abs(disc2.numerator))
     fact = factorize(g, trial_bound=10**6, rho_iterations=0)

@@ -1,5 +1,6 @@
-"""Irreducibility certificates: verdicts against sympy, the discriminant and
-mod-p patterns the certificate carries, and how often the Hecke callers
+"""Irreducibility certificates: verdicts against sympy, the mod-p patterns
+the certificate carries against the discriminant-filtered primes, the Mahler
+stop on polynomials that are not squarefree, and how often the Hecke callers
 recompute them."""
 
 import sys
@@ -67,11 +68,10 @@ def test_verdicts_agree_with_sympy(p):
 
 @settings(max_examples=60, deadline=None)
 @given(integer_polys())
-def test_certificate_carries_discriminant_and_patterns(p):
+def test_certificate_patterns_skip_the_discriminant_primes(p):
     cert = poly_irreducible(p)
-    assert cert.discriminant == discriminant(p)
     assert cert.patterns == _direct_patterns(p, len(cert.patterns))
-    assert len(cert.patterns) >= 30 or cert.discriminant == 0
+    assert len(cert.patterns) >= 30 or discriminant(p) == 0
 
 
 @pytest.mark.parametrize(
@@ -88,9 +88,44 @@ def test_certificate_carries_discriminant_and_patterns(p):
 def test_patterns_for_small_degrees(coeffs):
     p = RatPoly(coeffs)
     cert = poly_irreducible(p)
-    assert cert.discriminant == discriminant(p)
     assert cert.patterns == _direct_patterns(p, len(cert.patterns))
-    assert len(cert.patterns) == (0 if cert.discriminant == 0 else 30)
+    assert len(cert.patterns) == (0 if discriminant(p) == 0 else 30)
+
+
+@pytest.mark.parametrize(
+    "factors, status, root",
+    [
+        ([[1, 0, 1]] * 2, "unknown", None),  # (x^2 + 1)^2: no rational root
+        ([[-2, 0, 1]] * 2 + [[3, 1]], "reducible", -3),  # (x^2 - 2)^2 (x + 3)
+        ([[2, 0, 1]] * 3, "unknown", None),  # (x^2 + 2)^3
+        ([[1, 1]] * 2, "reducible", -1),  # (x + 1)^2
+        ([[Fraction(-1, 2), 1]] * 2, "reducible", Fraction(1, 2)),  # (x - 1/2)^2
+        ([[-1, 1]] * 2 + [[3, 1]], "reducible", -3),  # (x - 1)^2 (x + 3)
+        ([[-1, 0, 1]] * 2, "reducible", -1),  # (x^2 - 1)^2
+    ],
+)
+def test_a_square_factor_stops_at_the_mahler_bound(factors, status, root):
+    """Every prime reads p as not squarefree; once the skipped primes' product
+    passes Mahler's bound, the reads end with no pattern, and the verdict is
+    the one the rational roots alone decide."""
+    p = RatPoly([1])
+    for f in factors:
+        p = p * RatPoly(f)
+    assert discriminant(p) == 0
+    cert = poly_irreducible(p)
+    assert cert.patterns == {}
+    assert (cert.status, cert.witness_root) == (status, root)
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_polys(), integer_polys().filter(lambda g: g.degree <= 3))
+def test_a_square_factor_leaves_no_patterns(f, g):
+    p = f * g * g
+    cert = poly_irreducible(p)
+    assert cert.patterns == {}
+    assert not cert.is_irreducible
+    if cert.is_reducible:
+        assert p.evaluate(cert.witness_root) == 0
 
 
 def test_an_undecided_certificate_reads_4d_primes():
@@ -124,28 +159,30 @@ def test_witness_prime_is_the_first_one_piece_pattern():
 
 def _count_calls(monkeypatch, names):
     """Wrap each polys/forms/hecke function in every modforms namespace that
-    binds it; returns the live call counts."""
-    counts = dict.fromkeys(names, 0)
+    binds it; returns the live lists of each function's call arguments."""
+    calls = {name: [] for name in names}
     namespaces = [m for n, m in list(sys.modules.items()) if n.startswith("modforms")]
     for name in names:
         original = getattr({"miller_basis": forms, "eigenbasis": hecke}.get(name, polys), name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
+            calls[_name].append(args)
             return _original(*args, **kwargs)
 
         for ns in namespaces:
             for key, value in list(vars(ns).items()):
                 if value is original:
                     monkeypatch.setattr(ns, key, counted)
-    return counts
+    return calls
 
 
 @pytest.mark.parametrize(
     "call, expected",
     [
-        (lambda: scans.maeda_check(48), {"discriminant": 1, "factor_degrees_mod_p": 30}),
-        (lambda: scans.maeda_check(96), {"discriminant": 1, "factor_degrees_mod_p": 30}),
+        # every prime up to the 30th good one: 149 (disc has 2, 3, 5, 7, 31)
+        (lambda: scans.maeda_check(48), {"discriminant": 1, "factor_degrees_mod_p": 35}),
+        # up to 173: disc has 2, 3, 5, 7, 11, 13, 17, 19, 41, 89
+        (lambda: scans.maeda_check(96), {"discriminant": 1, "factor_degrees_mod_p": 40}),
         (lambda: hecke.eigenbasis(48), {"miller_basis": 1}),
         (lambda: identities.nonvanishing_report(24), {"miller_basis": 2}),
         (
@@ -157,6 +194,10 @@ def _count_calls(monkeypatch, names):
          "verify_table1"],
 )
 def test_each_charpoly_and_basis_is_computed_once(monkeypatch, call, expected):
-    counts = _count_calls(monkeypatch, expected)
+    """factor_degrees_mod_p also sees the primes where the charpoly is not
+    squarefree, which it rejects; no prime is read twice."""
+    calls = _count_calls(monkeypatch, expected)
     call()
-    assert counts == expected
+    assert {name: len(args) for name, args in calls.items()} == expected
+    primes = [q for _, q in calls.get("factor_degrees_mod_p", [])]
+    assert len(set(primes)) == len(primes)

@@ -4,16 +4,11 @@ from fractions import Fraction
 import pytest
 
 from modforms.dirichlet import characters_mod, trivial_character
-from modforms.forms import delta, dim_Sk, eisenstein_level1, eisenstein_levelN, miller_basis
-from modforms.hecke import (
-    charpoly,
-    eigenbasis,
-    galois_conjugate,
-    hecke_action,
-    hecke_matrix,
-    hecke_matrix_power_basis,
+from modforms.forms import (
+    delta, dim_Sk, eisenstein_level1, eisenstein_levelN, miller_basis, weight_monomials,
 )
-from modforms.linalg import mat_mul
+from modforms.hecke import charpoly, eigenbasis, galois_conjugate, hecke_action, hecke_matrix
+from modforms.linalg import charpoly_rational, invert_rational, mat_mul
 from modforms.numfield import QQ
 from modforms.polys import RatPoly
 from modforms.qseries import QSeries
@@ -171,17 +166,21 @@ def test_eisenstein_levelN_eigenvalue():
 
 
 def test_power_basis_matrix_is_integral():
+    def power_basis_matrix(n, k):
+        """T_n on the cusp monomials Delta^j E_4^((k-12j)/4), j = 1..dim: with
+        4 | k these are Miller's monomials for j >= 1."""
+        m = hecke_matrix(n, k)
+        d = m.dim
+        monos = weight_monomials(k, d + 1)[1:]
+        p = [[monos[j].coeff(i + 1) for j in range(d)] for i in range(d)]
+        return mat_mul(mat_mul(invert_rational(p), [list(r) for r in m.entries]), p)
+
     for n, k in ((2, 24), (2, 16), (3, 24), (2, 28)):
-        entries = hecke_matrix_power_basis(n, k)
-        for row in entries:
+        for row in power_basis_matrix(n, k):
             for x in row:
                 assert x.denominator == 1
     # similar matrices share the charpoly
-    from modforms.linalg import charpoly_rational
-
-    assert charpoly_rational(hecke_matrix_power_basis(2, 24)) == charpoly(
-        hecke_matrix(2, 24)
-    )
+    assert charpoly_rational(power_basis_matrix(2, 24)) == charpoly(hecke_matrix(2, 24))
 
 
 def test_eigenbasis_rejects_empty_space():

@@ -1,14 +1,15 @@
 """Differential tests of the dense kernels in modforms.polys against sympy.Poly
 over QQ, plus square-and-multiply against repeated multiplication, and of the
-row reduction and matrix product in modforms.linalg against sympy.Matrix. The integer path
-of the product over Q, the Newton series inverse and the Bareiss extended gcd
-are also checked against the Fraction loop, the coefficient recurrence and
-the Euclidean loop they replaced, the number-field reduction against
-sympy.rem and the former zeta-power embedding loop, and the trace-form
-discriminant against sympy and the Sylvester determinant it replaced (itself
-checked against sympy's res_q). The Horner evaluation kernel is
-checked against sympy, the former private loops of roots.aberth_roots and
-RatPoly.evaluate, and mpmath.polyval."""
+row reduction, matrix product and charpoly in modforms.linalg against
+sympy.Matrix. The integer charpoly, the integer path of the product over Q,
+the Newton series inverse and the Bareiss extended gcd are also checked
+against the Fraction Faddeev-LeVerrier loop, the Fraction product loop, the
+coefficient recurrence and the Euclidean loop they replaced, the
+number-field reduction against sympy.rem and the former zeta-power embedding
+loop, and the trace-form discriminant against sympy and the Sylvester
+determinant it replaced (itself checked against sympy's res_q). The Horner
+evaluation kernel is checked against sympy, the former private loops of
+roots.aberth_roots and RatPoly.evaluate, and mpmath.polyval."""
 
 import math
 import random
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from sympy.polys.subresultants_qq_zz import res_q
 
 from modforms.hecke import certified_charpoly, charpoly, hecke_matrix
-from modforms.linalg import invert_rational, kernel_vector, mat_mul, row_reduce
+from modforms.linalg import charpoly_rational, invert_rational, kernel_vector, mat_mul, row_reduce
 from modforms.numfield import QQ, NumberField, cyclotomic_field, embed_cyclotomic
 from modforms.polys import (
     RatPoly,
@@ -38,6 +39,7 @@ from modforms.polys import (
     poly_xgcd,
 )
 from modforms.qseries import QSeries
+from test_certificates import _direct_patterns
 
 X = sympy.Symbol("x")
 
@@ -332,6 +334,50 @@ def test_invert_rational_matches_sympy(m):
 def test_mat_mul_matches_sympy(ab):
     a, b = ab
     assert mat_mul(a, b) == from_sympy_matrix(to_sympy_matrix(a) * to_sympy_matrix(b))
+
+
+def fraction_charpoly(a) -> RatPoly:
+    """The Faddeev-LeVerrier loop on Fractions that charpoly_rational ran
+    before its integer path, kept as the oracle."""
+    n = len(a)
+    coeffs = [Fraction(0)] * (n + 1)
+    coeffs[n] = Fraction(1)
+    mk = [row[:] for row in a]
+    for k in range(1, n + 1):
+        if k > 1:
+            shifted = [
+                [mk[i][j] + (coeffs[n - k + 1] if i == j else 0) for j in range(n)]
+                for i in range(n)
+            ]
+            mk = mat_mul(a, shifted)
+        coeffs[n - k] = -sum((mk[i][i] for i in range(n)), Fraction(0)) / k
+    return RatPoly(coeffs)
+
+
+@st.composite
+def charpoly_matrices(draw):
+    """Square rational matrices of 1..6 rows with one entry t + 1/e, e >= 2, so
+    the integer path always scales by a D > 1."""
+    m = draw(st.integers(1, 6).flatmap(lambda n: _matrices(n, n)))
+    i, j = draw(st.integers(0, len(m) - 1)), draw(st.integers(0, len(m) - 1))
+    m[i][j] = draw(st.integers(-7, 7)) + Fraction(1, draw(st.integers(2, 12)))
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(charpoly_matrices())
+def test_charpoly_rational_matches_sympy_and_the_fraction_loop(m):
+    cp = charpoly_rational(m)
+    assert cp == fraction_charpoly(m)
+    expected = to_sympy_matrix(m).charpoly(X).all_coeffs()[::-1]
+    assert list(cp.coeffs) == [Fraction(int(x.p), int(x.q)) for x in expected]
+
+
+def test_certified_charpoly_160_matches_the_fraction_loop_and_direct_patterns():
+    matrix, cp, cert = certified_charpoly(160)
+    assert cp == fraction_charpoly([list(row) for row in matrix.entries])
+    assert cert.is_irreducible
+    assert cert.patterns == _direct_patterns(cp, len(cert.patterns))
 
 
 @settings(max_examples=150, deadline=None)
