@@ -17,7 +17,6 @@ from . import identities, scans, zeros
 from .dirichlet import characters_mod
 from .forms import delta, dim_Mk, dim_Sk, eisenstein_level1, eisenstein_levelN, jfunction, miller_basis
 from .hecke import eigenbasis, galois_conjugate, hecke_matrix
-from .numfield import NumberField
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -142,7 +141,7 @@ def cmd_eigen(args) -> tuple[dict, bool]:
     k = args.weight
     forms = eigenbasis(k, prec=args.prec)
     payload = {"weight": k, "dim": dim_Sk(k), "forms": [f.as_json() for f in forms]}
-    if isinstance(forms[0].field, NumberField) and forms[0].field.degree == 2:
+    if forms[0].field.degree == 2:
         payload["conjugate"] = galois_conjugate(forms[0]).as_json()
     return payload, True
 

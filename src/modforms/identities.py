@@ -156,7 +156,8 @@ def verify_product_identity(name: str, prec: int) -> IdentityReport:
 # Eigenform-square decompositions
 # ---------------------------------------------------------------------------
 #
-# With g one eigenform over K = Q[x]/(T) and its conjugates implicit, the
+# With g one eigenform over K = Q[x]/(T) and its conjugates implicit (Q is the
+# case T = x, d2 = 1, with t = (1, 0, ...) and coordinates (a_n(g),)), the
 # decomposition series = sum_i c_i g_i collapses to a linear system over the
 # base field F1 of the input series: writing c in L = F1[x]/(T), the
 # coefficient rows become Tr(c * a_n(g)) = a_n(series). With t_l = Tr(x^l),
@@ -185,7 +186,7 @@ class EigenDecomposition(NamedTuple):
 
     def conjugate_pair(self) -> tuple[NumberFieldElement, NumberFieldElement]:
         """Explicit (c_1, c_2) for a quadratic Hecke field over base Q."""
-        if self.base_field is not QQ or not isinstance(self.hecke_field, NumberField):
+        if self.base_field is not QQ:
             raise ValueError("explicit coefficients need a rational base field")
         if self.hecke_field.degree != 2:
             raise ValueError("explicit listing implemented for quadratic fields")
@@ -209,19 +210,11 @@ def decompose_in_eigenbasis(
         raise ValueError(f"need more than {d2} coefficients to decompose and verify")
     g = eigenbasis(weight, prec=prec)[0]
     base = series.field
-
-    if g.field is QQ:
-        c = series.coeff(1)
-        for n in range(prec):
-            if not c * g.a(n) == series.coeff(n):
-                raise ArithmeticError(f"decomposition fails at coefficient {n}")
-        return EigenDecomposition(weight, base, QQ, (c,), 1, 1 if c == 0 else 0, prec, g)
-
     K = g.field
     t = K.power_traces(3 * d2 - 2)
     # rows[n][j] = Tr(x^j a_n(g)): rows 1..d2 are the system, every row the check
     rows = [
-        [weighted_sum(g.a(n).coords, t[j : j + d2], Fraction(0)) for j in range(d2)]
+        [weighted_sum(K.coords(g.a(n)), t[j : j + d2], Fraction(0)) for j in range(d2)]
         for n in range(prec)
     ]
     try:
@@ -275,25 +268,17 @@ def nonvanishing_report(k: int, prec: int | None = None) -> NonvanishingReport:
 
     A nonzero coefficient certifies a nonzero inner product against that
     eigenform: distinct eigenforms are orthogonal with positive norms, so the
-    projection cannot vanish while the coefficient does not.
+    projection cannot vanish while the coefficient does not. The Hecke field
+    of weight 2k is never Q: dim S_2k >= 2 wherever S_k has a form.
     """
     f = eigenbasis(k, prec=max(3 * dim_Sk(2 * k) + 5, prec or 20))[0]
     dec = decompose_square(f, prec=prec)
-    entries: list[tuple[int, str | list[str] | None, bool]] = []
-    if (
-        dec.base_field is QQ
-        and isinstance(dec.hecke_field, NumberField)
-        and dec.hecke_field.degree == 2
-    ):
-        for i, c in enumerate(dec.conjugate_pair(), 1):
-            entries.append((i, coeff_json(c), c.is_zero()))
-    elif dec.dim == 1:
-        entries.append((1, coeff_json(dec.coords[0]), dec.coords[0] == 0))
+    if dec.base_field is QQ and dec.hecke_field.degree == 2:
+        entries = [(i, coeff_json(c), c.is_zero()) for i, c in enumerate(dec.conjugate_pair(), 1)]
     else:
         # per-index values live in conjugate embeddings; only the exact count
         # of vanishing ones is listed
-        for i in range(1, dec.dim + 1):
-            entries.append((i, None, False if dec.vanishing_count == 0 else True))
+        entries = [(i, None, not dec.all_nonzero) for i in range(1, dec.dim + 1)]
     return NonvanishingReport(
         k, 2 * k, dec.dim, dec.all_nonzero, dec.vanishing_count, entries, dec
     )

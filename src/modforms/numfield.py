@@ -26,7 +26,7 @@ from .polys import (
 
 
 class RationalField:
-    """Field adapter for Q, backed by fractions.Fraction."""
+    """Q as the degree-1 field Q[x]/(x), backed by fractions.Fraction."""
 
     degree = 1
 
@@ -40,6 +40,13 @@ class RationalField:
         if isinstance(x, NumberFieldElement):
             return x.as_rational()
         return Fraction(x)
+
+    def coords(self, x: Fraction) -> tuple[Fraction]:
+        return (x,)
+
+    def power_traces(self, count: int) -> tuple[int, ...]:
+        """Traces of 1, x, ..., x^(count-1) in Q[x]/(x): 1, then zeros."""
+        return tuple(int(l == 0) for l in range(count))
 
     def __repr__(self) -> str:
         return "QQ"
@@ -115,6 +122,9 @@ class NumberField:
                 return x
             raise ValueError("element of a different number field")
         return self.element([Fraction(x)])
+
+    def coords(self, el: "NumberFieldElement") -> tuple[Fraction, ...]:
+        return el.coords
 
     def power_traces(self, count: int) -> tuple[int, ...]:
         """Traces of 1, x, ..., x^(count-1): integers, since the modulus is

@@ -5,6 +5,7 @@ and Hecke-field discriminant coprimality."""
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -276,7 +277,8 @@ def finiteness_scan(
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise ValueError("both coefficients must be nonzero")
-    b_abs = abs(float(b))
+    # an |b| past the double range is above every envelope
+    b_abs = float(abs(b)) if abs(b) <= sys.float_info.max else math.inf
     envs = {k: envelope(k) for k in range(3, 201)}
     above = [k for k, v in envs.items() if v >= b_abs]
     k_bound = max(above) if above else 2

@@ -24,6 +24,7 @@ from modforms.identities import (
 )
 from modforms.numfield import QQ
 from modforms.polys import _dense_gcd
+from modforms.qseries import QSeries
 
 
 def test_verify_ramanujan():
@@ -79,8 +80,6 @@ def test_quadratic_identity_soundness_random_perturbations():
         idx = rng.randrange(prec)
         bumped = list(series.coeffs)
         bumped[idx] += Fraction(1, 7)
-        from modforms.qseries import QSeries
-
         args = {
             0: (h, QSeries(QQ, bumped, prec), g),
             1: (h, f, QSeries(QQ, bumped, prec)),
@@ -122,6 +121,33 @@ def test_decompose_one_dimensional_space():
     assert dec.dim == 1
     assert dec.coords == (Fraction(1),)
     assert dec.all_nonzero
+    with pytest.raises(ValueError, match="quadratic fields"):
+        dec.conjugate_pair()
+
+
+def _weight_24_hecke_field():
+    K = eigenbasis(24, prec=12)[0].field
+    assert K.degree == 2
+    return K
+
+
+def test_decompose_one_dimensional_space_over_a_quadratic_base():
+    # c g with g the weight-16 eigenform over K and c in K but not in Q
+    K = _weight_24_hecke_field()
+    c = K.gen() + Fraction(1, 2)
+    series = eigenbasis(16, prec=12)[0].series.coerce_into(K).scale(c)
+    dec = decompose_in_eigenbasis(series, 16, prec=10)
+    assert (dec.base_field, dec.hecke_field, dec.dim) == (K, QQ, 1)
+    assert dec.coords == (c,)
+    assert dec.vanishing_count == 0
+
+
+def test_decompose_zero_series_over_a_quadratic_base():
+    K = _weight_24_hecke_field()
+    dec = decompose_in_eigenbasis(QSeries.zero(K, 12), 16, prec=10)
+    assert (dec.base_field, dec.hecke_field, dec.dim) == (K, QQ, 1)
+    assert dec.coords == (K.zero(),)
+    assert dec.vanishing_count == 1
 
 
 def test_decompose_residual_full_precision():

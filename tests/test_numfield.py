@@ -6,6 +6,7 @@ import pytest
 from modforms.forms import dim_Sk
 from modforms.hecke import certified_charpoly
 from modforms.numfield import (
+    QQ,
     NumberField,
     cyclotomic_field,
     dedekind_index_test,
@@ -121,6 +122,17 @@ def test_power_sums_are_the_power_traces(modulus, traces):
     for count in range(len(traces) + 1):
         assert power_sums(modulus, count) == traces[:count]
         assert NumberField(RatPoly(modulus)).power_traces(count) == traces[:count]
+
+
+def test_rationals_answer_the_trace_form_hooks_as_the_degree_one_field():
+    # Q = Q[x]/(x): its one root is 0, and an element is its own coordinate
+    for count in range(6):
+        assert QQ.power_traces(count) == power_sums([0, 1], count)
+    assert QQ.power_traces(4) == (1, 0, 0, 0)
+    assert QQ.coords(Fraction(-3, 7)) == (Fraction(-3, 7),)
+    K = quad(5)
+    el = K.element([Fraction(1, 2), 3])
+    assert K.coords(el) == el.coords == (Fraction(1, 2), Fraction(3))
 
 
 def test_power_traces_match_the_trace_of_the_power():

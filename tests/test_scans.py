@@ -138,6 +138,15 @@ def test_finiteness_scan_large_b_no_survivors():
     assert report.k_bound <= 8
 
 
+@pytest.mark.parametrize("b", [Fraction(10) ** 309, -Fraction(10) ** 309, Fraction(10**400, 3)])
+def test_finiteness_b_past_the_double_range(b):
+    # an |b| no double holds is above every envelope, as |b| = 1e300 is
+    report = finiteness_scan(Fraction(1), b, k_max=10, l_max=2)
+    reference = finiteness_scan(Fraction(1), Fraction(10) ** 300, k_max=10, l_max=2)
+    assert report == reference._replace(b=b)
+    assert (report.k_bound, report.cells, report.complete) == (2, [], True)
+
+
 def test_finiteness_trivial_sanity_k4():
     # beta = 240 for the trivial character, so b = alpha - 2 beta needs
     # b close to alpha - 480; unit b fails exactly
