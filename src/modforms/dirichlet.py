@@ -9,7 +9,6 @@ from functools import lru_cache
 from itertools import product
 
 from .arith import divisors, factorize
-from .linalg import weighted_sum
 from .numfield import NumberField, NumberFieldElement, cyclotomic_field
 from .polys import RatPoly, _dense_eval, _fixed_eval, clear_denominators
 
@@ -303,23 +302,17 @@ def gen_bernoulli(k: int, chi: DirichletCharacter) -> NumberFieldElement:
     Closed form N^(k-1) * sum_a chi(a) B_k(a/N) over a = 0..N-1; for the
     trivial character mod 1 this is the ordinary Bernoulli number. The
     summands h(a) / (d N) come from _bernoulli_residues, shared by every
-    character mod N, and are summed once per value chi(a) = zeta^e.
+    character mod N, are summed by exponent e of chi(a) = zeta^e into one
+    integer vector, and that vector is reduced once modulo Phi_order.
     """
     if k < 1:
         raise ValueError("k must be positive")
     N = chi.modulus
-    field = chi.value_field()
     d, residues = _bernoulli_residues(k, N)
-    sums: dict[int, int] = {}
+    sums = [0] * chi.order
     for a, h in residues:
-        e = chi.exponent_of(a)
-        sums[e] = sums.get(e, 0) + h
-    coords = [0] * field.degree
-    for e, total in sums.items():
-        # zeta^e has integer coordinates, since Phi_m is monic and integral
-        for j, c in enumerate(field.zeta_pow(e).coords):
-            coords[j] += total * c.numerator
-    return field.element([Fraction(c, d * N) for c in coords])
+        sums[chi.exponent_of(a)] += h
+    return chi.value_field().reduce(d * N, sums)
 
 
 def sigma_gen(
@@ -329,16 +322,21 @@ def sigma_gen(
     n: int,
 ) -> NumberFieldElement:
     """Twisted divisor sum: sum over m | n of psi(n/m) phi(m) m^(k-1), valued
-    in the compositum cyclotomic field."""
+    in the compositum cyclotomic field Q(zeta_M). Each term adds m^(k-1) at
+    the exponent of zeta_M in psi(n/m) phi(m), and the integer vector is
+    reduced once modulo Phi_M."""
     if n < 1:
         raise ValueError("n must be positive")
+    if kminus1 < 0:
+        raise ValueError("k - 1 must be nonnegative")
     field = compositum_field(psi, phi)
-    ms = divisors(n)
-    return weighted_sum(
-        [Fraction(m) ** kminus1 for m in ms],
-        [psi.value_in(field, n // m) * phi.value_in(field, m) for m in ms],
-        field.zero(),
-    )
+    M = field.zeta_order
+    sums = [0] * M
+    for m in divisors(n):
+        e_psi, e_phi = psi.exponent_of(n // m), phi.exponent_of(m)
+        if e_psi is not None and e_phi is not None:
+            sums[(e_psi * (M // psi.order) + e_phi * (M // phi.order)) % M] += m**kminus1
+    return field.reduce(1, sums)
 
 
 def compositum_field(psi: DirichletCharacter, phi: DirichletCharacter) -> NumberField:

@@ -78,7 +78,6 @@ class NumberField:
         self.degree = modulus.degree
         self.zeta_order: int | None = None  # set by cyclotomic_field
         self._int_modulus = [int(c) for c in modulus.coeffs]
-        self._zeta_pows: dict[int, "NumberFieldElement"] = {}
 
     def __eq__(self, other) -> bool:
         return isinstance(other, NumberField) and self.modulus == other.modulus
@@ -98,9 +97,9 @@ class NumberField:
 
     def from_poly(self, coeffs: Sequence[Fraction | int]) -> "NumberFieldElement":
         """Reduce a polynomial in the generator modulo the modulus."""
-        return self._reduce(*clear_denominators(coeffs))
+        return self.reduce(*clear_denominators(coeffs))
 
-    def _reduce(self, den: int, ints: list[int]) -> "NumberFieldElement":
+    def reduce(self, den: int, ints: list[int]) -> "NumberFieldElement":
         """The element (ints mod modulus) / den: the only reduction, on Python
         ints, since the modulus is monic and integral."""
         rem = _dense_divmod(ints, self._int_modulus)[1]
@@ -142,10 +141,7 @@ class NumberField:
     def zeta_pow(self, j: int) -> "NumberFieldElement":
         if self.zeta_order is None:
             raise ValueError("not a cyclotomic field")
-        j %= self.zeta_order
-        if j not in self._zeta_pows:
-            self._zeta_pows[j] = self.from_poly([0] * j + [1])
-        return self._zeta_pows[j]
+        return self.reduce(1, [0] * (j % self.zeta_order) + [1])
 
 
 class NumberFieldElement:
@@ -212,7 +208,7 @@ class NumberFieldElement:
             return NotImplemented
         self._check(other)
         (da, a), (db, b) = clear_denominators(self.coords), clear_denominators(other.coords)
-        return self.parent._reduce(da * db, _dense_mul(a, b, 0))
+        return self.parent.reduce(da * db, _dense_mul(a, b, 0))
 
     __rmul__ = __mul__
 

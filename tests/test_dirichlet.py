@@ -2,8 +2,11 @@ import cmath
 import math
 from fractions import Fraction
 
+import pytest
+
 from modforms.arith import divisors
 from modforms.dirichlet import (
+    _bernoulli_residues,
     abs_embed,
     bernoulli_number,
     bernoulli_polynomial,
@@ -182,12 +185,41 @@ def test_gen_bernoulli_matches_plain_bernoulli():
 
 
 def test_gen_bernoulli_matches_fraction_horner():
-    # every character mod N, imprimitive ones included, at both parities of k
-    for N in range(1, 15):
-        for chi in characters_mod(N):
-            for k in (1, 2, 3, 4, 11, 12, 29, 30, 59, 60):
-                expected = gen_bernoulli_fraction_horner(k, chi)
-                assert gen_bernoulli(k, chi) == expected, (N, chi.exponents, k)
+    # every character mod N, imprimitive ones included, at both parities of k;
+    # then characters mod 101 of orders 100 and 50, whose exponent vectors are
+    # longer than the degree 40 of their value fields
+    cases = [
+        (chi, k)
+        for N in range(1, 15)
+        for chi in characters_mod(N)
+        for k in (1, 2, 3, 4, 11, 12, 29, 30, 59, 60)
+    ]
+    large = characters_mod(101)[1:3]
+    assert [chi.order for chi in large] == [100, 50]
+    cases += [(chi, k) for chi in large for k in (2, 12)]
+    for chi, k in cases:
+        expected = gen_bernoulli_fraction_horner(k, chi)
+        assert gen_bernoulli(k, chi) == expected, (chi.modulus, chi.exponents, k)
+
+
+def test_gen_bernoulli_keeps_no_table_of_zeta_powers():
+    # the value field and the residues mod 1009 are built first, so what the
+    # call leaves allocated is its own: a table of zeta^e for the 504 exponents
+    # of an order-504 character held about 4 MB
+    import tracemalloc
+
+    chi = characters_mod(1009)[2]
+    assert chi.order == 504
+    cyclotomic_field(504)
+    _bernoulli_residues(12, 1009)
+    tracemalloc.start()
+    try:
+        value = gen_bernoulli(12, chi)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert not value.is_zero()  # chi is even, like k
+    assert held < 0.5 * 2**20, held
 
 
 def test_gen_bernoulli_k1_mod4():
@@ -224,6 +256,8 @@ def test_sigma_gen_examples():
     assert sigma_gen(3, triv, triv, 2).as_rational() == 9
     odd = odd_character_mod4()
     assert sigma_gen(1, triv, odd, 5).as_rational() == 6
+    with pytest.raises(ValueError, match="nonnegative"):
+        sigma_gen(-1, triv, triv, 2)
 
 
 def sigma_gen_loop(kminus1, psi, phi, n):
@@ -243,7 +277,8 @@ def sigma_gen_loop(kminus1, psi, phi, n):
 
 
 def test_sigma_gen_matches_the_divisor_loop():
-    for N1, N2 in ((1, 1), (1, 4), (3, 1), (1, 5), (5, 3), (4, 7), (1, 13)):
+    # (11, 13) reaches the compositum of order 60
+    for N1, N2 in ((1, 1), (1, 4), (3, 1), (1, 5), (5, 3), (4, 7), (1, 13), (11, 13)):
         for psi in characters_mod(N1):
             for phi in characters_mod(N2):
                 for kminus1 in (0, 2, 5):
