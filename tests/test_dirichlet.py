@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -187,7 +188,7 @@ def test_gen_bernoulli_matches_plain_bernoulli():
 def test_gen_bernoulli_matches_fraction_horner():
     # every character mod N, imprimitive ones included, at both parities of k;
     # then characters mod 101 of orders 100 and 50, whose exponent vectors are
-    # longer than the degree 40 of their value fields
+    # longer than the degrees 40 and 20 of their value fields
     cases = [
         (chi, k)
         for N in range(1, 15)
@@ -205,9 +206,7 @@ def test_gen_bernoulli_matches_fraction_horner():
 def test_gen_bernoulli_keeps_no_table_of_zeta_powers():
     # the value field and the residues mod 1009 are built first, so what the
     # call leaves allocated is its own: a table of zeta^e for the 504 exponents
-    # of an order-504 character held about 4 MB
-    import tracemalloc
-
+    # of an order-504 character would hold about 4 MB
     chi = characters_mod(1009)[2]
     assert chi.order == 504
     cyclotomic_field(504)
