@@ -203,11 +203,7 @@ def eigenbasis(k: int, prec: int | None = None) -> list[Eigenform]:
         raise ValueError(f"prec must exceed {n}: a_{n} generates the Hecke field")
     matrix, field = hecke_field(k, basis)
     lam = field.gen()
-    a = [
-        [field.coerce(entry) - (lam if i == j else field.zero()) for j, entry in enumerate(row)]
-        for i, row in enumerate(matrix.entries)
-    ]
-    v = kernel_vector(a, field)
+    v = kernel_vector(matrix.entries, field)
     if v[0] == 0:
         raise ArithmeticError("eigenvector has vanishing first coefficient")
     inv = v[0].inverse()

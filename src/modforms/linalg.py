@@ -1,5 +1,6 @@
-"""Small dense exact linear algebra: products, charpolys on integers, and
-row reduction for inverses over Q and kernels over number fields."""
+"""Small dense exact linear algebra: products, charpolys on integers, row
+reduction for inverses and echelon forms, and Hecke eigenvectors by
+Cayley-Hamilton."""
 
 from __future__ import annotations
 
@@ -49,7 +50,7 @@ def row_reduce(m, zero, one) -> list[int]:
     pivot columns.
 
     Entries must support +, -, *, / and ==; the one exact elimination loop
-    that every inverse, kernel and echelon basis goes through.
+    that every inverse, echelon basis and Hankel rank goes through.
     """
     pivots: list[int] = []
     for col in range(len(m[0]) if m else 0):
@@ -77,18 +78,16 @@ def invert_rational(a):
     return [row[n:] for row in m]
 
 
-def kernel_vector(a, field):
-    """One nonzero kernel vector of a matrix over a field, from its first
-    free column; raises when the kernel is trivial."""
-    n = len(a[0])
-    m = [row[:] for row in a]
-    zero, one = field.zero(), field.one()
-    pivots = row_reduce(m, zero, one)
-    free = next((c for c in range(n) if c not in pivots), None)
-    if free is None:
-        raise ValueError("trivial kernel")
-    v = [zero] * n
-    v[free] = one
-    for r, pc in enumerate(pivots):
-        v[pc] = -m[r][free]
-    return v
+def kernel_vector(t, field):
+    """The eigenvector w of a rational matrix T for the generator x of
+    K = Q[x]/(P), P = sum c_i y^i the monic charpoly of T, with no product or
+    inverse in K: by Cayley-Hamilton, w = sum_(i+m<d) c_(i+1+m) x^m T^i e_1
+    satisfies (T - x) w = P(T) e_1 - P(x) e_1 = 0. Coordinate m of w_j is one
+    rational dot product with the Krylov vectors u_i = T^i e_1; w_1 has
+    x^(d-1)-coordinate c_d = 1, and irreducible P makes w span the kernel."""
+    c = field.modulus.coeffs
+    u = [[int(j == 0) for j in range(len(t))]]
+    while len(u) < len(t):
+        u.append([weighted_sum(row, u[-1], 0) for row in t])
+    return [field.element(weighted_sum(c[m + 1 :], col, 0) for m in range(len(c) - 1))
+            for col in zip(*u)]

@@ -6,11 +6,11 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from itertools import islice, zip_longest
 from typing import Iterable, NamedTuple, Sequence
 
-from .arith import _divisors_from_factorization, divisors, factorize, iter_primes
+from .arith import _divisors_from_factorization, factorize, iter_primes
 
 # ---------------------------------------------------------------------------
 # Dense kernels: ascending coefficient lists over any coefficient ring, using
@@ -590,15 +590,23 @@ def poly_irreducible(p: RatPoly) -> IrreducibilityCertificate:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> RatPoly:
-    """The m-th cyclotomic polynomial, computed by exact division of x^m - 1."""
+    """The m-th cyclotomic polynomial on Python ints: for m > 1, the power
+    series prod_(d | m) (1 - x^d)^mu(m/d) truncated past x^phi(m)."""
     if m < 1:
         raise ValueError("m >= 1 required")
-    num = RatPoly([-1] + [0] * (m - 1) + [1])
-    for d in divisors(m):
-        if d < m:
-            q, r = divmod(num, cyclotomic_polynomial(d))
-            assert r.is_zero()
-            num = q
-    return num
+    if m == 1:
+        return RatPoly([-1, 1])
+    fact = factorize(m)
+    if not fact.complete:
+        raise ArithmeticError(f"cannot factor the cyclotomic index {m}")
+    terms = [(1, 1)]  # (s, mu(s)) for the squarefree divisors s of m
+    for p in fact.factors:
+        terms += [(s * p, -mu) for s, mu in terms]
+    n = sum(mu * (m // s) for s, mu in terms)  # phi(m)
+    c = [1] + [0] * n
+    for s, mu in terms:
+        d = m // s  # a downward pass multiplies by 1 - x^d, an upward one divides
+        for i in range(n, d - 1, -1) if mu == 1 else range(d, n + 1):
+            c[i] -= mu * c[i - d]
+    return RatPoly(c)

@@ -9,7 +9,7 @@ from modforms.forms import (
 )
 from modforms.hecke import charpoly, eigenbasis, galois_conjugate, hecke_action, hecke_matrix
 from modforms.linalg import charpoly_rational, invert_rational, mat_mul
-from modforms.numfield import QQ
+from modforms.numfield import QQ, NumberFieldElement
 from modforms.polys import RatPoly
 from modforms.qseries import QSeries
 from modforms.scans import maeda_check
@@ -202,6 +202,22 @@ def test_eigenbasis_and_maeda_share_the_certificate_policy():
     cert = eigenbasis(72)[0].field.certificate
     assert cert == maeda_check(72).certificate
     assert cert.is_irreducible
+
+
+@pytest.mark.parametrize("k", [24, 72, 100])
+def test_eigenbasis_makes_one_field_inverse(k, monkeypatch):
+    # the Gauss-Jordan kernel made d inverses (2, 6 and 8 here); the
+    # Cayley-Hamilton eigenvector makes none, leaving the one normalization
+    calls = []
+    inverse = NumberFieldElement.inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(NumberFieldElement, "inverse", counted)
+    eigenbasis(k)
+    assert len(calls) == 1
 
 
 def test_eigenbasis_weight_118_is_certified():

@@ -9,7 +9,10 @@ number-field reduction against sympy.rem and the former zeta-power embedding
 loop, and the trace-form discriminant against sympy and the Sylvester
 determinant it replaced (itself checked against sympy's res_q). The Horner
 evaluation kernel is checked against sympy, the former private loops of
-roots.aberth_roots and RatPoly.evaluate, and mpmath.polyval."""
+roots.aberth_roots and RatPoly.evaluate, and mpmath.polyval. The
+Cayley-Hamilton Hecke eigenvector is checked against the Gauss-Jordan kernel
+it replaced (itself checked against sympy's nullspace), and cyclotomic
+polynomials against sympy.cyclotomic_poly."""
 
 import math
 import random
@@ -22,8 +25,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.subresultants_qq_zz import res_q
 
-from modforms.hecke import certified_charpoly, charpoly, hecke_matrix
-from modforms.linalg import charpoly_rational, invert_rational, kernel_vector, mat_mul, row_reduce
+from modforms.forms import cusp_dim
+from modforms.hecke import certified_charpoly, charpoly, hecke_field, hecke_matrix
+from modforms.linalg import (
+    charpoly_rational, invert_rational, kernel_vector, mat_mul, row_reduce, weighted_sum,
+)
 from modforms.numfield import QQ, NumberField, cyclotomic_field, embed_cyclotomic
 from modforms.polys import (
     RatPoly,
@@ -35,6 +41,7 @@ from modforms.polys import (
     _dense_trim,
     bareiss_det,
     clear_denominators,
+    cyclotomic_polynomial,
     discriminant,
     poly_xgcd,
 )
@@ -380,19 +387,60 @@ def test_certified_charpoly_160_matches_the_fraction_loop_and_direct_patterns():
     assert cert.patterns == _direct_patterns(cp, len(cert.patterns))
 
 
+def gauss_jordan_kernel_vector(a, field):
+    """One nonzero kernel vector of a matrix over a field, from its first free
+    column; raises when the kernel is trivial. The Gauss-Jordan solve over the
+    Hecke field that the Cayley-Hamilton eigenvector replaced."""
+    n = len(a[0])
+    m = [row[:] for row in a]
+    zero, one = field.zero(), field.one()
+    pivots = row_reduce(m, zero, one)
+    free = next((c for c in range(n) if c not in pivots), None)
+    if free is None:
+        raise ValueError("trivial kernel")
+    v = [zero] * n
+    v[free] = one
+    for r, pc in enumerate(pivots):
+        v[pc] = -m[r][free]
+    return v
+
+
 @settings(max_examples=150, deadline=None)
 @given(rational_matrices)
 def test_kernel_vector_matches_sympy_nullspace(m):
     nullspace = to_sympy_matrix(m).nullspace()
     if not nullspace:
         with pytest.raises(ValueError, match="trivial kernel"):
-            kernel_vector(m, QQ)
+            gauss_jordan_kernel_vector(m, QQ)
         return
-    v = kernel_vector(m, QQ)
+    v = gauss_jordan_kernel_vector(m, QQ)
     assert any(x != 0 for x in v)
     assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in m)
     # the first free column gives sympy's first nullspace basis vector
     assert v == [row[0] for row in from_sympy_matrix(nullspace[0])]
+
+
+@pytest.mark.parametrize(
+    "k", [k for k in range(24, 101, 2) if cusp_dim(k) >= 2] + [118, 132, 160]
+)
+def test_krylov_eigenvector_matches_the_gauss_jordan_kernel(k):
+    matrix, field = hecke_field(k)
+    x = field.gen()
+    t_minus_x = [
+        [field.coerce(e) - (x if i == j else field.zero()) for j, e in enumerate(row)]
+        for i, row in enumerate(matrix.entries)
+    ]
+    w = kernel_vector(matrix.entries, field)
+    assert all(weighted_sum(row, w, field.zero()) == 0 for row in t_minus_x)
+    v = gauss_jordan_kernel_vector(t_minus_x, field)
+    w0, v0 = w[0].inverse(), v[0].inverse()
+    assert [w0 * y for y in w] == [v0 * y for y in v]
+
+
+def test_cyclotomic_polynomial_matches_sympy():
+    for m in [*range(1, 301), 714, 2310]:
+        expected = sympy.Poly(sympy.cyclotomic_poly(m, X), X).all_coeffs()[::-1]
+        assert list(cyclotomic_polynomial(m).coeffs) == [Fraction(int(c)) for c in expected]
 
 
 # ---------------------------------------------------------------------------

@@ -178,3 +178,14 @@ def test_cyclotomic_polynomials():
             if n % d == 0:
                 prod = prod * cyclotomic_polynomial(d)
         assert prod == RatPoly([-1] + [0] * (n - 1) + [1])
+
+
+def test_cyclotomic_closed_forms_at_large_index():
+    # Phi_2p(x) = Phi_p(-x) for an odd prime p, and Phi_m(x) = Phi_r(x^(m/r))
+    # when m and its divisor r have the same prime factors
+    phi_5003 = cyclotomic_polynomial(5003).coeffs
+    assert cyclotomic_polynomial(10006) == RatPoly([c * (-1) ** i for i, c in enumerate(phi_5003)])
+    phi_714 = cyclotomic_polynomial(714).coeffs
+    spread = [Fraction(0)] * (7 * len(phi_714) - 6)
+    spread[::7] = phi_714
+    assert cyclotomic_polynomial(4998) == RatPoly(spread)
