@@ -17,9 +17,8 @@ from .dirichlet import (
     sigma_gen,
     trivial_character,
 )
-from .linalg import row_reduce
 from .numfield import QQ, embed_cyclotomic
-from .polys import _binary_power, _dense_mul
+from .polys import _binary_power, _dense_mul, bareiss_solve, clear_denominators
 from .qseries import QSeries
 
 
@@ -136,8 +135,8 @@ def weight_monomials(k: int, prec: int) -> list[QSeries]:
 def miller_basis(k: int, prec: int | None = None, cusp_only: bool = False) -> SpaceBasis:
     """Echelonized monomial basis of the weight-k space (or its cusp subspace).
 
-    Gaussian elimination on the leading coefficients of weight_monomials puts
-    form i at valuation i with unit leading coefficient.
+    The rows [L | R] of weight_monomials are integral, L unit upper triangular,
+    so one bareiss_solve gives [I | L^-1 R]: form i at valuation i, leading 1.
     """
     if k % 2 or k < 0 or k == 2:
         raise ValueError("weight must be 0 or an even integer >= 4")
@@ -146,13 +145,13 @@ def miller_basis(k: int, prec: int | None = None, cusp_only: bool = False) -> Sp
         prec = 10 * d + 10
     if prec <= d:
         raise ValueError(f"prec must exceed the dimension {d} to echelonize")
-    rows = [m.coeffs for m in weight_monomials(k, prec)]
-    pivots = row_reduce(rows, Fraction(0), Fraction(1))
-    assert pivots == list(range(d))
+    D, w = bareiss_solve([clear_denominators(m.coeffs)[1] for m in weight_monomials(k, prec)])
+    assert D == 1
     start = 1 if cusp_only else 0
     tag = "S" if cusp_only else "M"
     forms = tuple(
-        ModularForm(k, 1, trivial_character(1), QSeries(QQ, rows[j], prec), f"{tag}{k}.{j}")
+        ModularForm(k, 1, trivial_character(1),
+                    QSeries(QQ, [int(i == j) for i in range(d)] + w[j], prec), f"{tag}{k}.{j}")
         for j in range(start, d)
     )
     return SpaceBasis(k, forms, prec)

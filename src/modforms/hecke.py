@@ -9,7 +9,7 @@ from typing import NamedTuple
 from .arith import divisors, squarefree_kernel
 from .dirichlet import DirichletCharacter
 from .forms import SpaceBasis, cusp_dim, miller_basis
-from .linalg import charpoly_rational, kernel_vector, weighted_sum
+from .linalg import charpoly_rational, kernel_vector, mat_mul, weighted_sum
 from .numfield import QQ, NumberField, NumberFieldElement, field_json
 from .polys import (
     IrreducibilityCertificate, RatPoly, clear_denominators, discriminant, poly_irreducible,
@@ -202,19 +202,16 @@ def eigenbasis(k: int, prec: int | None = None) -> list[Eigenform]:
     if prec <= n:
         raise ValueError(f"prec must exceed {n}: a_{n} generates the Hecke field")
     matrix, field = hecke_field(k, basis)
-    lam = field.gen()
+    # a_r = sum_j v_j b_j(r), one integer product over the denominators of v and the basis
     v = kernel_vector(matrix.entries, field)
-    if v[0] == 0:
-        raise ArithmeticError("eigenvector has vanishing first coefficient")
-    inv = v[0].inverse()
-    v = [inv * x for x in v]
-    coeffs = [
-        weighted_sum(v, [form.series.coeff(r) for form in basis.forms], field.zero())
-        for r in range(prec)
-    ]
+    dv, vs = clear_denominators([c for x in v for c in x.coords])
+    db, bs = clear_denominators([f.series.coeff(r) for r in range(prec) for f in basis.forms])
+    rows = mat_mul([bs[r * d : (r + 1) * d] for r in range(prec)],
+                   [vs[j * d : (j + 1) * d] for j in range(d)])
+    coeffs = [field.element(Fraction(x, dv * db) for x in row) for row in rows]
     g = Eigenform(k, field, QSeries(field, coeffs, prec), f"S{k}.a")
-    assert g.a(n) == lam
-    assert field.modulus.evaluate(lam) == field.zero()
+    assert g.a(n) == field.gen()
+    assert field.modulus.evaluate(g.a(n)) == field.zero()
     return [g]
 
 

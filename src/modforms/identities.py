@@ -9,7 +9,7 @@ from typing import NamedTuple
 from .arith import sigma
 from .forms import cusp_dim, delta, dim_Sk, eisenstein_level1
 from .hecke import Eigenform, eigenbasis, galois_conjugate, sqrt_of_disc_part
-from .linalg import invert_rational, row_reduce, weighted_sum
+from .linalg import invert_rational, rank, weighted_sum
 from .numfield import QQ, NumberField, NumberFieldElement, coeff_json
 from .qseries import QSeries
 
@@ -230,7 +230,7 @@ def decompose_in_eigenbasis(
             raise ArithmeticError(f"decomposition fails at coefficient {n}")
     s = [weighted_sum(coords, t[l : l + d2], base.zero()) for l in range(2 * d2 - 1)]
     hankel = [s[u : u + d2] for u in range(d2)]
-    vanishing = d2 - len(row_reduce(hankel, base.zero(), base.one()))
+    vanishing = d2 - rank(hankel, base.zero(), base.one())
     return EigenDecomposition(weight, base, K, tuple(coords), d2, vanishing, prec, g)
 
 

@@ -1,12 +1,12 @@
-"""Small dense exact linear algebra: products, charpolys on integers, row
-reduction for inverses and echelon forms, and Hecke eigenvectors by
-Cayley-Hamilton."""
+"""Small dense exact linear algebra: products, charpolys and inverses on
+integers, ranks over number fields, and Hecke eigenvectors from one rational
+Krylov solve."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .polys import RatPoly, clear_denominators
+from .polys import RatPoly, bareiss_solve, clear_denominators
 
 
 def mat_mul(a, b):
@@ -45,49 +45,41 @@ def charpoly_rational(a) -> RatPoly:
     return RatPoly([Fraction(x, D ** (n - i)) for i, x in enumerate(c)])
 
 
-def row_reduce(m, zero, one) -> list[int]:
-    """Bring the rows of m to reduced row echelon form in place; returns the
-    pivot columns.
-
-    Entries must support +, -, *, / and ==; the one exact elimination loop
-    that every inverse, echelon basis and Hankel rank goes through.
-    """
-    pivots: list[int] = []
+def rank(m, zero, one) -> int:
+    """Rank of the rows m over a field (entries with +, -, *, / and ==), by
+    eliminating each pivot's column from the rows left; m is not changed."""
+    rows = [list(row) for row in m]  # the rows not yet taken as a pivot
     for col in range(len(m[0]) if m else 0):
-        row = len(pivots)
-        pivot = next((r for r in range(row, len(m)) if not m[r][col] == zero), None)
-        if pivot is None:
+        i = next((i for i, row in enumerate(rows) if not row[col] == zero), None)
+        if i is None:
             continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = one / m[row][col]
-        m[row] = [inv * x for x in m[row]]
-        for r in range(len(m)):
-            if r != row and not m[r][col] == zero:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[row])]
-        pivots.append(col)
-    return pivots
+        pivot = rows.pop(i)
+        below = [row for row in rows if not row[col] == zero]
+        inv = one / pivot[col] if below else None  # the last pivot, with nothing to clear
+        for row in below:
+            f = row[col] * inv
+            row[col + 1 :] = [x - f * y for x, y in zip(row[col + 1 :], pivot[col + 1 :])]
+    return len(m) - len(rows)
 
 
 def invert_rational(a):
-    """Inverse of a square rational matrix; raises ValueError when singular."""
+    """Inverse c W / det M of a square rational matrix M / c, M integral, for
+    (det M, W) = bareiss_solve([M | I]); raises ValueError when singular."""
     n = len(a)
-    m = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
-    if row_reduce(m, Fraction(0), Fraction(1)) != list(range(n)):
+    c, flat = clear_denominators([x for row in a for x in row])
+    D, w = bareiss_solve([flat[i * n : (i + 1) * n] + [int(i == j) for j in range(n)]
+                          for i in range(n)])
+    if w is None:
         raise ValueError("singular matrix")
-    return [row[n:] for row in m]
+    return [[Fraction(c * x, D) for x in row] for row in w]
 
 
 def kernel_vector(t, field):
-    """The eigenvector w of a rational matrix T for the generator x of
-    K = Q[x]/(P), P = sum c_i y^i the monic charpoly of T, with no product or
-    inverse in K: by Cayley-Hamilton, w = sum_(i+m<d) c_(i+1+m) x^m T^i e_1
-    satisfies (T - x) w = P(T) e_1 - P(x) e_1 = 0. Coordinate m of w_j is one
-    rational dot product with the Krylov vectors u_i = T^i e_1; w_1 has
-    x^(d-1)-coordinate c_d = 1, and irreducible P makes w span the kernel."""
-    c = field.modulus.coeffs
+    """The eigenvector v of a rational matrix T for the generator x of
+    K = Q[x]/(P), P the irreducible charpoly of T, with v_1 = 1 and no
+    arithmetic in K: the rows u_i = e_1^T T^i give U v = (1, x, ..., x^(d-1)),
+    and U is invertible, so row j of U^-1 holds the coordinates of v_j."""
     u = [[int(j == 0) for j in range(len(t))]]
     while len(u) < len(t):
-        u.append([weighted_sum(row, u[-1], 0) for row in t])
-    return [field.element(weighted_sum(c[m + 1 :], col, 0) for m in range(len(c) - 1))
-            for col in zip(*u)]
+        u.append(mat_mul(u[-1:], t)[0])
+    return [field.element(row) for row in invert_rational(u)]

@@ -103,6 +103,9 @@ def _dense_divmod(a, b):
     d = len(b) - 1
     rem = list(a)
     inv = None if b[-1] == 1 else 1 / b[-1]
+    # (j - d, b_j) for the nonzero b_j, j < d: a step skips the zeros of b
+    # (a cyclotomic modulus is mostly zeros)
+    terms = [(j - d, y) for j, y in enumerate(b[:d]) if y != 0]
     quot = []  # filled from the top coefficient down
     for i in range(len(rem) - 1, d - 1, -1):
         c = rem[i]
@@ -111,7 +114,8 @@ def _dense_divmod(a, b):
             continue
         q = c if inv is None else c * inv
         quot.append(q)
-        rem[i - d : i + 1] = [r - q * y for r, y in zip(rem[i - d : i + 1], b)]
+        for j, y in terms:
+            rem[i + j] -= q * y
     quot.reverse()
     return _dense_trim(quot), _dense_trim(rem[:d])
 
@@ -258,40 +262,36 @@ def poly_xgcd(a: RatPoly, b: RatPoly) -> tuple[RatPoly, RatPoly, RatPoly]:
 def _inverse_mod(a, b) -> list[Fraction] | None:
     """a^-1 modulo b != 0 ([] when b is constant), or None when a and b share a
     factor. Column j of the integer matrix M is x^j a mod b scaled by s L^j (s
-    clears a mod b, L leads the cleared b); Bareiss and a fraction-free back
-    substitution give w = D M^-1 e_0, D = det M, and u_j = s L^j w_j / D."""
+    clears a mod b, L leads the cleared b); bareiss_solve gives w = D M^-1 e_0,
+    D = det M, and u_j = s L^j w_j / D."""
     d = len(b) - 1
     s, col = clear_denominators(_dense_divmod(a, b)[1])
     B = clear_denominators(b)[1]
     cols = [col + [0] * (d - len(col))]
     while len(cols) < d:
         cols.append([B[-1] * x - cols[-1][-1] * y for x, y in zip([0] + cols[-1][:-1], B)])
-    rows = [[*row, int(i == 0)] for i, row in enumerate(zip(*cols))]
-    D, w = bareiss_det(rows), [0] * d
-    if D == 0:
-        return None
-    for k in reversed(range(d)):
-        row = rows[k]
-        w[k] = (D * row[d] - sum(x * y for x, y in zip(row[k + 1 : d], w[k + 1 :]))) // row[k]
-    return [Fraction(s * B[-1] ** j * x, D) for j, x in enumerate(w)]
+    D, w = bareiss_solve([[*row, int(i == 0)] for i, row in enumerate(zip(*cols))])
+    return None if w is None else [Fraction(s * B[-1] ** j * x, D) for j, (x,) in enumerate(w)]
 
 
 # ---------------------------------------------------------------------------
-# Discriminants (integer Bareiss on the trace form)
+# Integer Bareiss: determinants, linear solves and trace-form discriminants
 # ---------------------------------------------------------------------------
 
 
-def bareiss_det(m: list[list[int]]) -> int:
-    """Determinant of the first len(m) columns of the integer rows m, by
-    fraction-free elimination in place; afterwards m is upper triangular
-    there, and the last pivot is the determinant of its swapped rows."""
+def bareiss_solve(m: list[list[int]]) -> tuple[int, list[list[int]] | None]:
+    """(D, W) for the integer rows m = [A | B], A square, overwriting m: the
+    one integer determinant D = det A, by fraction-free elimination, and the
+    one rational solve W = D A^-1 B, integral (None when D = 0). The back
+    substitution on the triangular U X = C left in m divides exactly, since
+    W_k = D X_k = (D C_k - sum_(j>k) U_kj W_j) / U_kk."""
     n = len(m)
     sign, prev = 1, 1
     for k in range(n):
         if m[k][k] == 0:
             i = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
             if i is None:
-                return 0
+                return 0, None
             m[k], m[i] = m[i], m[k]
             sign = -sign
         pivot, top = m[k][k], m[k][k + 1 :]
@@ -300,7 +300,14 @@ def bareiss_det(m: list[list[int]]) -> int:
             row[k + 1 :] = [(x * pivot - f * y) // prev for x, y in zip(row[k + 1 :], top)]
             row[k] = 0
         prev = pivot
-    return sign * m[-1][n - 1] if n else 1
+    D = sign * prev  # the last pivot is the determinant of the swapped rows
+    w = []  # W_k, ..., W_(n-1)
+    for k in reversed(range(n)):
+        acc = [D * x for x in m[k][n:]]
+        for u, y in zip(m[k][k + 1 : n], w):
+            acc = [a - u * b for a, b in zip(acc, y)]
+        w.insert(0, [a // m[k][k] for a in acc])
+    return D, w
 
 
 def power_sums(c: Sequence[int], count: int) -> tuple[int, ...]:
@@ -328,7 +335,7 @@ def discriminant(p: RatPoly) -> Fraction:
     den, P = clear_denominators(p.coeffs)
     a = P[-1]
     s = power_sums([x * a ** (d - 1 - i) for i, x in enumerate(P[:-1])] + [1], 2 * d - 1)
-    det = bareiss_det([list(s[i : i + d]) for i in range(d)])
+    det = bareiss_solve([list(s[i : i + d]) for i in range(d)])[0]
     return Fraction(det, a ** ((d - 1) * (d - 2)) * den ** (2 * d - 2))
 
 

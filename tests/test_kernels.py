@@ -1,18 +1,20 @@
 """Differential tests of the dense kernels in modforms.polys against sympy.Poly
 over QQ, plus square-and-multiply against repeated multiplication, and of the
-row reduction, matrix product and charpoly in modforms.linalg against
-sympy.Matrix. The integer charpoly, the integer path of the product over Q,
-the Newton series inverse and the Bareiss extended gcd are also checked
-against the Fraction Faddeev-LeVerrier loop, the Fraction product loop, the
-coefficient recurrence and the Euclidean loop they replaced, the
-number-field reduction against sympy.rem and the former zeta-power embedding
-loop, and the trace-form discriminant against sympy and the Sylvester
-determinant it replaced (itself checked against sympy's res_q). The Horner
-evaluation kernel is checked against sympy, the former private loops of
-roots.aberth_roots and RatPoly.evaluate, and mpmath.polyval. The
-Cayley-Hamilton Hecke eigenvector is checked against the Gauss-Jordan kernel
-it replaced (itself checked against sympy's nullspace), and cyclotomic
-polynomials against sympy.cyclotomic_poly."""
+integer Bareiss solve, inverse, rank, matrix product and charpoly against
+sympy.Matrix; the rank over a quadratic field is checked against the
+Gauss-Jordan loop it replaced, itself checked against sympy's rref. The
+integer charpoly, the integer path of the product over Q, the Newton series
+inverse and the Bareiss extended gcd are also checked against the Fraction
+Faddeev-LeVerrier loop, the Fraction product loop, the coefficient
+recurrence and the Euclidean loop they replaced, the number-field reduction
+against sympy.rem and the former zeta-power embedding loop, and the
+trace-form discriminant against sympy and the Sylvester determinant it
+replaced (itself checked against sympy's res_q). The Horner evaluation
+kernel is checked against sympy, the former private loops of
+roots.aberth_roots and RatPoly.evaluate, and mpmath.polyval. The Krylov
+Hecke eigenvector is checked against the Gauss-Jordan kernel over the Hecke
+field (itself checked against sympy's nullspace), and cyclotomic polynomials
+against sympy.cyclotomic_poly."""
 
 import math
 import random
@@ -28,7 +30,7 @@ from sympy.polys.subresultants_qq_zz import res_q
 from modforms.forms import cusp_dim
 from modforms.hecke import certified_charpoly, charpoly, hecke_field, hecke_matrix
 from modforms.linalg import (
-    charpoly_rational, invert_rational, kernel_vector, mat_mul, row_reduce, weighted_sum,
+    charpoly_rational, invert_rational, kernel_vector, mat_mul, rank, weighted_sum,
 )
 from modforms.numfield import QQ, NumberField, cyclotomic_field, embed_cyclotomic
 from modforms.polys import (
@@ -39,7 +41,7 @@ from modforms.polys import (
     _dense_gcd,
     _dense_mul,
     _dense_trim,
-    bareiss_det,
+    bareiss_solve,
     clear_denominators,
     cyclotomic_polynomial,
     discriminant,
@@ -99,8 +101,22 @@ def test_truncated_dense_mul_matches_sympy(a, b, n):
     assert _dense_trim(out) == _dense_trim(full[:n])
 
 
-@settings(max_examples=200, deadline=None)
-@given(padded_coeffs, padded_coeffs)
+# divisors with interior zeros, whose division step skips those coefficients:
+# sparse lists with a nonzero top, and cyclotomic polynomials
+sparse_divisors = st.one_of(
+    st.tuples(
+        st.lists(st.one_of(st.just(Fraction(0)), small_fractions), max_size=9),
+        small_fractions.filter(bool),
+    ).map(lambda t: t[0] + [t[1]]),
+    st.integers(1, 60).map(lambda m: list(cyclotomic_polynomial(m).coeffs)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(padded_coeffs, st.lists(small_fractions, max_size=40)),
+    st.one_of(padded_coeffs, sparse_divisors),
+)
 def test_dense_divmod_matches_sympy(a, b):
     b = _dense_trim(b)
     assume(b)
@@ -311,14 +327,91 @@ def from_sympy_matrix(m: sympy.Matrix) -> list[list[Fraction]]:
     return [[Fraction(int(x.p), int(x.q)) for x in m.row(i)] for i in range(m.rows)]
 
 
+def gauss_jordan_rref(m, zero, one) -> list[int]:
+    """Bring the rows of m to reduced row echelon form in place; returns the
+    pivot columns. The Fraction Gauss-Jordan loop that every inverse, echelon
+    basis and Hankel rank went through before the integer Bareiss solve and
+    the rank, kept as the oracle."""
+    pivots: list[int] = []
+    for col in range(len(m[0]) if m else 0):
+        row = len(pivots)
+        pivot = next((r for r in range(row, len(m)) if not m[r][col] == zero), None)
+        if pivot is None:
+            continue
+        m[row], m[pivot] = m[pivot], m[row]
+        inv = one / m[row][col]
+        m[row] = [inv * x for x in m[row]]
+        for r in range(len(m)):
+            if r != row and not m[r][col] == zero:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[row])]
+        pivots.append(col)
+    return pivots
+
+
 @settings(max_examples=150, deadline=None)
 @given(rational_matrices)
-def test_row_reduce_matches_sympy_rref(m):
+def test_gauss_jordan_rref_matches_sympy_rref(m):
     work = [row[:] for row in m]
-    pivots = row_reduce(work, Fraction(0), Fraction(1))
+    pivots = gauss_jordan_rref(work, Fraction(0), Fraction(1))
     rref, sympy_pivots = to_sympy_matrix(m).rref()
     assert work == from_sympy_matrix(rref)
     assert pivots == list(sympy_pivots)
+
+
+@st.composite
+def integer_systems(draw):
+    """Integer rows [A | B], A of 1..6 rows with entries in -9..9 (zeros
+    frequent, a dependent last row when the flag is set), B of 1..3 columns."""
+    n, r = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    entry = st.one_of(st.just(0), st.integers(-9, 9))
+    rows = draw(st.lists(st.lists(entry, min_size=n + r, max_size=n + r), min_size=n, max_size=n))
+    if n >= 3 and draw(st.booleans()):
+        rows[-1][:n] = [x - 2 * y for x, y in zip(rows[0][:n], rows[1][:n])]
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_systems())
+def test_bareiss_solve_matches_sympy(m):
+    n = len(m)
+    a = sympy.Matrix([row[:n] for row in m])
+    b = sympy.Matrix([row[n:] for row in m])
+    D, w = bareiss_solve([row[:] for row in m])
+    assert D == a.det()
+    if D == 0:
+        assert w is None
+    else:
+        assert a * sympy.Matrix(w) == D * b
+        assert all(type(x) is int for row in w for x in row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices)
+def test_rank_matches_sympy_over_q(m):
+    copy = [row[:] for row in m]
+    assert rank(m, Fraction(0), Fraction(1)) == to_sympy_matrix(m).rank()
+    assert m == copy
+
+
+def test_rank_matches_the_gauss_jordan_oracle_over_a_quadratic_field():
+    K = NumberField(RatPoly([-5, 0, 1]))  # Q(sqrt 5)
+    rng = random.Random(25)
+    ranks = set()
+    for _ in range(60):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        m = [
+            [K.element([rng.choice([0, 0, 1, -2, Fraction(1, 3)]) for _ in range(2)])
+             for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        if rows >= 3 and rng.random() < 0.5:
+            # a dependent last row over K, not over Q
+            m[-1] = [x * K.gen() + y for x, y in zip(m[0], m[1])]
+        expected = len(gauss_jordan_rref([row[:] for row in m], K.zero(), K.one()))
+        assert rank(m, K.zero(), K.one()) == expected
+        ranks.add((expected, min(rows, cols)))
+    assert any(r < full for r, full in ranks)
 
 
 @settings(max_examples=150, deadline=None)
@@ -390,11 +483,11 @@ def test_certified_charpoly_160_matches_the_fraction_loop_and_direct_patterns():
 def gauss_jordan_kernel_vector(a, field):
     """One nonzero kernel vector of a matrix over a field, from its first free
     column; raises when the kernel is trivial. The Gauss-Jordan solve over the
-    Hecke field that the Cayley-Hamilton eigenvector replaced."""
+    Hecke field that the rational eigenvector solve replaced."""
     n = len(a[0])
     m = [row[:] for row in a]
     zero, one = field.zero(), field.one()
-    pivots = row_reduce(m, zero, one)
+    pivots = gauss_jordan_rref(m, zero, one)
     free = next((c for c in range(n) if c not in pivots), None)
     if free is None:
         raise ValueError("trivial kernel")
@@ -431,10 +524,11 @@ def test_krylov_eigenvector_matches_the_gauss_jordan_kernel(k):
         for i, row in enumerate(matrix.entries)
     ]
     w = kernel_vector(matrix.entries, field)
+    assert w[0] == field.one()
     assert all(weighted_sum(row, w, field.zero()) == 0 for row in t_minus_x)
     v = gauss_jordan_kernel_vector(t_minus_x, field)
-    w0, v0 = w[0].inverse(), v[0].inverse()
-    assert [w0 * y for y in w] == [v0 * y for y in v]
+    v0 = v[0].inverse()
+    assert w == [v0 * y for y in v]
 
 
 def test_cyclotomic_polynomial_matches_sympy():
@@ -577,7 +671,7 @@ def sylvester_resultant(p: RatPoly, q: RatPoly) -> Fraction:
     n = dp + dq
     rows = [[0] * i + pi[::-1] + [0] * (n - dp - 1 - i) for i in range(dq)]
     rows += [[0] * i + qi[::-1] + [0] * (n - dq - 1 - i) for i in range(dp)]
-    return Fraction(bareiss_det(rows), ap**dq * aq**dp)
+    return Fraction(bareiss_solve(rows)[0], ap**dq * aq**dp)
 
 
 def sylvester_discriminant(p: RatPoly) -> Fraction:
