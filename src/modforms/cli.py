@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import identities, scans, zeros
-from .dirichlet import characters_mod
+from .dirichlet import characters_mod, galois_orbits
 from .forms import delta, dim_Mk, dim_Sk, eisenstein_level1, eisenstein_levelN, jfunction, miller_basis
 from .hecke import eigenbasis, galois_conjugate, hecke_matrix
 
@@ -217,15 +217,13 @@ def cmd_finiteness(args) -> tuple[dict, bool]:
 
 def cmd_bounds(args) -> tuple[dict, bool]:
     k = args.weight
-    checks, rows = [], {}
-    for modulus in _parse_conductors(args.conductors):
-        for chi in characters_mod(modulus):
-            if chi.is_primitive() and chi.parity() == (-1) ** k:
-                # chi and its conjugate share |B_{k,chi}|, and so their row
-                pair = frozenset((chi, chi**-1))
-                if pair not in rows:
-                    rows[pair] = scans.bernoulli_bound_check(k, chi)
-                checks.append(rows[pair])
+    chars = [
+        chi
+        for modulus in _parse_conductors(args.conductors)
+        for chi in characters_mod(modulus)
+        if chi.is_primitive() and chi.parity() == (-1) ** k
+    ]
+    checks = [scans.bernoulli_bound_check(k, rep, a) for _, rep, a in galois_orbits(chars)]
     if not checks:
         raise CliError(
             f"weight {k}: no primitive character mod {args.conductors} has parity (-1)^{k}"

@@ -1,5 +1,5 @@
-"""Dirichlet characters mod N with exact cyclotomic values, Bernoulli numbers,
-generalized Bernoulli numbers, and twisted divisor sums."""
+"""Dirichlet characters mod N with exact cyclotomic values and Galois orbits,
+Bernoulli numbers, generalized Bernoulli numbers, and twisted divisor sums."""
 
 from __future__ import annotations
 
@@ -285,34 +285,39 @@ def bernoulli_polynomial(k: int) -> RatPoly:
 
 
 @lru_cache(maxsize=None)
-def _bernoulli_residues(k: int, N: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """(d, pairs (a, h(a)) over the units a mod N) with N^(k-1) B_k(a/N) =
-    h(a) / (d N): for B_k = sum_i c_i x^i, h = d sum_i c_i N^(k-i) x^i is
-    integral, and one integer Horner gives each h(a). Every character mod N
-    regroups the same values."""
-    d, h = clear_denominators(
-        [c * N ** (k - i) for i, c in enumerate(bernoulli_polynomial(k).coeffs)]
-    )
-    return d, tuple((a, _dense_eval(h, a)) for a in range(N) if math.gcd(a, N) == 1)
-
-
 def gen_bernoulli(k: int, chi: DirichletCharacter) -> NumberFieldElement:
-    """Generalized Bernoulli number B_{k,chi} in Q(zeta_order(chi)).
+    """Generalized Bernoulli number B_{k,chi} in Q(zeta_order(chi)), memoized.
 
     Closed form N^(k-1) * sum_a chi(a) B_k(a/N) over a = 0..N-1; for the
-    trivial character mod 1 this is the ordinary Bernoulli number. The
-    summands h(a) / (d N) come from _bernoulli_residues, shared by every
-    character mod N, are summed by exponent e of chi(a) = zeta^e into one
-    integer vector, and that vector is reduced once modulo Phi_order.
+    trivial character mod 1 this is the ordinary Bernoulli number. For
+    B_k = sum_i c_i x^i, h = d sum_i c_i N^(k-i) x^i is integral; the
+    summands h(a) / (d N), one integer Horner each, are summed by exponent e
+    of chi(a) = zeta^e into one integer vector, reduced once modulo Phi_order.
     """
     if k < 1:
         raise ValueError("k must be positive")
     N = chi.modulus
-    d, residues = _bernoulli_residues(k, N)
+    poly = bernoulli_polynomial(k).coeffs
+    d, h = clear_denominators([c * N ** (k - i) for i, c in enumerate(poly)])
     sums = [0] * chi.order
-    for a, h in residues:
-        sums[chi.exponent_of(a)] += h
+    for a in range(N):
+        if (e := chi.exponent_of(a)) is not None:
+            sums[e] += _dense_eval(h, a)
     return chi.value_field().reduce(d * N, sums)
+
+
+def galois_orbits(chars):
+    """(chi, rep, a) for each chi in chars, in order: chi = rep^a for a unit a
+    mod ord(rep), 1 <= a <= ord(rep), and rep is the first of chars in chi's
+    Galois orbit. sigma_a: zeta -> zeta^a maps rep's exact values to chi's, as
+    B_{k,rep^a} = sigma_a(B_{k,rep}) (Washington, Introduction to Cyclotomic
+    Fields, GTM 83, ch. 4); abs_embed(x, a) reads |sigma_a(x)|."""
+    seen: dict[DirichletCharacter, tuple[DirichletCharacter, int]] = {}
+    for chi in chars:
+        if chi not in seen:
+            m = chi.order
+            seen.update((chi**a, (chi, a)) for a in range(1, m + 1) if math.gcd(a, m) == 1)
+        yield (chi, *seen[chi])
 
 
 def sigma_gen(
@@ -361,14 +366,16 @@ def _pi_fixed(bits: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _unit_root_fixed(m: int, bits: int) -> tuple[int, int]:
-    """(cos, sin)(2 pi / m) 2^bits, each within one unit: the Taylor series
-    of cos and sin at 32 + log2(bits) guard bits, rounded once. There the
-    floors of the series, each amplified at most e^(2 pi) < 2^10 times, and
-    the error of pi stay under 2^14 bits units, while half a final unit is
-    at least 2^31 bits units."""
+def _unit_root_fixed(m: int, a: int, bits: int) -> tuple[int, int]:
+    """(cos, sin)(2 pi a / m) 2^bits for 0 <= a < m, each within one unit: the
+    Taylor series at G = bits + 32 + L guard bits, L = bits.bit_length(),
+    rounded once. In units of 2^-G, theta < 2 pi is off by under 16 G + 129
+    (pi by under 8 (G + 8)). Earlier floors reach a term scaled by at most
+    theta^r / r!, so each term is off by under e^theta < 2^10; the terms floor
+    to 0 by i = G + 35 and not before i > 2 theta, so the tail is under 2^11.
+    Sums are off by under 2^11 (G + 38) units, below half a final unit, 2^(31 + L)."""
     guard = bits + 32 + bits.bit_length()
-    theta = 2 * _pi_fixed(guard) // m
+    theta = 2 * a * _pi_fixed(guard) // m
     parts = [0, 0, 0, 0]  # sums of theta^i / i! over i mod 4
     term, i = 1 << guard, 0
     while term:
@@ -380,27 +387,30 @@ def _unit_root_fixed(m: int, bits: int) -> tuple[int, int]:
     return (parts[0] - parts[2] + half) >> shift, (parts[1] - parts[3] + half) >> shift
 
 
-def abs_embed(x: NumberFieldElement | Fraction | int) -> float:
-    """|x| under zeta_m -> exp(2 pi i / m), with relative error well below
-    1e-12, in integer arithmetic.
+def abs_embed(x: NumberFieldElement | Fraction | int, a: int = 1) -> float:
+    """|sigma_a(x)|, the value of |x| under zeta_m -> exp(2 pi i a / m) for a
+    prime to m, with relative error well below 1e-12, in integer arithmetic.
 
     Write x = sum c_i zeta^i / d with integers c_i. polys._fixed_eval runs
-    the Horner on the c_i at zeta rounded to `bits` fractional bits; for
-    degree n and M = max |c_i| it is off from sum c_i zeta^i by under
-    4 n^2 M 2^-bits. The precision starts at 106 bits and doubles while the
-    value does not clear that bound by a factor 2^64 (zero reads 0 >= 0 at
-    once).
+    the Horner on the c_i at exp(2 pi i a / m) rounded to `bits` fractional
+    bits; for degree n and M = max |c_i| it is off by under 4 n^2 M 2^-bits.
+    The precision starts at 106 bits and doubles while the value does not
+    clear that bound by a factor 2^64 (zero reads 0 >= 0 at once). sigma_-a(x)
+    is the complex conjugate of sigma_a(x): both read the angle in [0, pi].
     """
     if isinstance(x, (int, Fraction)):
         return float(abs(Fraction(x)))
     m = x.parent.zeta_order
     if m is None:
         raise ValueError("absolute value is defined for cyclotomic elements")
+    if math.gcd(a, m) != 1:
+        raise ValueError(f"a = {a} is not prime to the zeta order {m}")
+    a = min(a % m, -a % m)
     d, ints = clear_denominators(x.coords)
     bound = 4 * len(ints) ** 2 * max(map(abs, ints)) << 64
     bits = 106
     while True:
-        re, im = _fixed_eval(ints, *_unit_root_fixed(m, bits), bits)
+        re, im = _fixed_eval(ints, *_unit_root_fixed(m, a, bits), bits)
         norm = re * re + im * im
         if norm >= bound * bound:
             return math.isqrt(norm) / (d << bits)

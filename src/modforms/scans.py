@@ -16,6 +16,7 @@ from .dirichlet import (
     abs_embed,
     bernoulli_number,
     characters_mod,
+    galois_orbits,
     gen_bernoulli,
 )
 from .forms import cusp_dim
@@ -120,8 +121,9 @@ class BoundCheck(NamedTuple):
         }
 
 
-def bernoulli_bound_check(k: int, chi: DirichletCharacter) -> BoundCheck:
-    """Sandwich verdict for |B_{k,chi}|, primitive parity-matching chi."""
+def bernoulli_bound_check(k: int, chi: DirichletCharacter, a: int = 1) -> BoundCheck:
+    """Sandwich verdict for |B_{k,chi^a}| = |sigma_a(B_{k,chi})|, primitive
+    parity-matching chi, a prime to ord(chi)."""
     if k < 3:
         raise ValueError("k >= 3 required")
     if not chi.is_primitive():
@@ -138,7 +140,7 @@ def bernoulli_bound_check(k: int, chi: DirichletCharacter) -> BoundCheck:
         raise ValueError(
             f"the sandwich bounds for weight {k} at conductor {l} exceed the double range"
         )
-    val = abs_embed(gen_bernoulli(k, chi))
+    val = abs_embed(gen_bernoulli(k, chi), a)
     # at conductor 1 the upper bound is an exact equality, so comparisons get
     # the stated embedding-error budget
     slack = 1e-11
@@ -151,11 +153,13 @@ def bernoulli_bound_check(k: int, chi: DirichletCharacter) -> BoundCheck:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def alpha_beta(
     k: int, phi: DirichletCharacter
 ) -> tuple[NumberFieldElement, NumberFieldElement]:
     """Exact leading-coefficient scalars: alpha = -4k/B_{2k,phi^2} and
-    beta = -2k/B_{k,phi}, in their cyclotomic value fields."""
+    beta = -2k/B_{k,phi}, in their cyclotomic value fields, once per
+    (k, phi)."""
     b1 = gen_bernoulli(k, phi)
     if b1.is_zero():
         raise ValueError("vanishing Bernoulli value: parity mismatch for beta")
@@ -247,17 +251,12 @@ class FinitenessReport(NamedTuple):
         }
 
 
-def _q1_relation_holds(
-    b: Fraction, alpha: NumberFieldElement, beta: NumberFieldElement
-) -> bool:
-    """b + 2 beta = alpha, exactly, in beta's field Q(zeta_ord(phi)), which
-    holds alpha in Q(zeta_ord(phi^2)) since ord(phi^2) divides ord(phi)."""
-    return beta.parent.coerce(b) + 2 * beta == embed_cyclotomic(alpha, beta.parent)
-
-
+@lru_cache(maxsize=None)
 def eq12_holds_exactly(b: Fraction, k: int, phi: DirichletCharacter) -> bool:
-    """Exact test of the q^1 coefficient relation b + 2 beta = alpha."""
-    return _q1_relation_holds(b, *alpha_beta(k, phi))
+    """Exact test of the q^1 coefficient relation b + 2 beta = alpha, memoized, in
+    beta's field Q(zeta_ord(phi)), which holds alpha since ord(phi^2) | ord(phi)."""
+    alpha, beta = alpha_beta(k, phi)
+    return beta.parent.coerce(b) + 2 * beta == embed_cyclotomic(alpha, beta.parent)
 
 
 def finiteness_scan(
@@ -299,25 +298,17 @@ def finiteness_scan(
                     for phi in characters_mod(modulus)
                     if phi.is_primitive() and (phi**2).conductor() == modulus
                 ]
-            # alpha and beta of the conjugate of phi are phi's under the
-            # automorphism zeta -> zeta^-1, which fixes b and every |.|: the
-            # second character of a pair reads the first one's values
-            pending: dict[tuple[int, ...], tuple[float, float, bool]] = {}
-            for phi in admissible[modulus]:
-                if phi.parity() != (-1) ** k:
-                    continue
-                values = pending.pop(phi.exponents, None)
-                if values is None:
-                    alpha, beta = alpha_beta(k, phi)
-                    values = abs_embed(alpha), abs_embed(beta), _q1_relation_holds(b, alpha, beta)
-                    pending[(phi**-1).exponents] = values
-                alpha_abs, beta_abs, ok = values
+            chars = [phi for phi in admissible[modulus] if phi.parity() == (-1) ** k]
+            # phi = rep^j: sigma_j carries rep's alpha, beta and relation (b is rational) to phi's
+            for phi, rep, j in galois_orbits(chars):
+                alpha, beta = alpha_beta(k, rep)
+                ok = eq12_holds_exactly(b, k, rep)
                 cell = ScanCell(
                     k,
                     modulus,
                     phi.exponents,
-                    alpha_abs,
-                    beta_abs,
+                    abs_embed(alpha, j),
+                    abs_embed(beta, j),
                     ok,
                     "" if modulus <= l_star else "bound",
                 )

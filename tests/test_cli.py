@@ -10,6 +10,7 @@ import pytest
 from modforms import hecke, identities, scans
 from modforms.arith import SquarefreeSplit
 from modforms.cli import _render_reports, build_parser, main
+from modforms.dirichlet import characters_mod, gen_bernoulli
 from modforms.numfield import coeff_json
 from modforms.polys import RatPoly, discriminant, poly_irreducible
 
@@ -189,21 +190,32 @@ def test_bounds_subcommand_csv(capsys):
     assert all(line.endswith("True") for line in lines[1:])
 
 
-def test_bounds_computes_each_conjugate_pair_once(capsys, monkeypatch):
-    """A character and its conjugate share |B_{k,chi}| and so one row."""
-    calls = []
-    real = scans.gen_bernoulli
-
-    def counted(k, chi):
-        calls.append((k, chi))
-        return real(k, chi)
-
-    monkeypatch.setattr(scans, "gen_bernoulli", counted)
-    code, out, _ = run_cli(capsys, "bounds", "20", "1,3,4,5,7,8,11,12,13", "--output", "json")
+@pytest.mark.parametrize(
+    "weight, conductors, distinct, orbits",
+    [(20, "1,3,4,5,7,8,11,12,13", 10, 9), (12, "1009", 246, 23)],
+    ids=["conductors-to-13", "conductor-1009"],
+)
+def test_bounds_computes_each_galois_orbit_once(capsys, weight, conductors, distinct, orbits):
+    """B_{k,chi^a} = sigma_a(B_{k,chi}): one exact sum per Galois orbit, and
+    a character and its conjugate share one row. Mod 11 at k = 20 the four
+    primitive even characters form one orbit of two pairs; mod 1009 at
+    k = 12, 503 characters form 252 pairs (six of them share their 12-digit
+    row with another pair) and 23 orbits."""
+    chars = [
+        chi
+        for N in map(int, conductors.split(","))
+        for chi in characters_mod(N)
+        if chi.is_primitive() and chi.parity() == (-1) ** weight
+    ]
+    gen_bernoulli.cache_clear()
+    code, out, _ = run_cli(capsys, "bounds", str(weight), conductors, "--output", "json")
     assert code == 0
     checks = json.loads(out)["checks"]
-    assert len(checks) == 15 and len(calls) == 10
-    assert len({json.dumps(c) for c in checks}) == 10
+    assert len(checks) == len(chars)
+    row = dict(zip(chars, checks))
+    assert all(row[chi] == row[chi**-1] for chi in chars)
+    assert len({json.dumps(c) for c in checks}) == distinct
+    assert gen_bernoulli.cache_info().misses == orbits
 
 
 def test_deterministic_output(capsys):

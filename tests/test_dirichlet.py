@@ -4,15 +4,18 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modforms.arith import divisors
 from modforms.dirichlet import (
-    _bernoulli_residues,
+    _unit_root_fixed,
     abs_embed,
     bernoulli_number,
     bernoulli_polynomial,
     characters_mod,
     compositum_field,
+    galois_orbits,
     gen_bernoulli,
     induce,
     sigma_gen,
@@ -204,13 +207,13 @@ def test_gen_bernoulli_matches_fraction_horner():
 
 
 def test_gen_bernoulli_keeps_no_table_of_zeta_powers():
-    # the value field and the residues mod 1009 are built first, so what the
-    # call leaves allocated is its own: a table of zeta^e for the 504 exponents
-    # of an order-504 character would hold about 4 MB
+    # the value field is built and the memo cleared first, so what the call
+    # leaves allocated is its own: a table of zeta^e for the 504 exponents of
+    # an order-504 character would hold about 4 MB
     chi = characters_mod(1009)[2]
     assert chi.order == 504
     cyclotomic_field(504)
-    _bernoulli_residues(12, 1009)
+    gen_bernoulli.cache_clear()
     tracemalloc.start()
     try:
         value = gen_bernoulli(12, chi)
@@ -326,3 +329,95 @@ def test_abs_embed_matches_mpmath_on_the_finiteness_scan():
         values.extend(alpha_beta(cell.k, phi))
     assert len(values) == 2 * len(report.cells) > 400
     assert [abs_embed(x) for x in values] == [abs_embed_mpmath(x) for x in values]
+
+
+def sigma(x, a: int):
+    """sigma_a(x) for x in Q(zeta_m), exactly: the substitution zeta -> zeta^a
+    on x's coordinates, reduced modulo Phi_m."""
+    m = x.parent.zeta_order
+    spread = [Fraction(0)] * m
+    for i, c in enumerate(x.coords):
+        spread[i * a % m] += c
+    return x.parent.from_poly(spread)
+
+
+@pytest.mark.parametrize("N", [*range(1, 41), 105, 120])
+def test_galois_orbits_match_the_orbits_as_sets(N):
+    chars = characters_mod(N)
+    for order in (chars, chars[::-1]):
+        orbit_of = {}
+        for chi in order:
+            units = [a for a in range(1, chi.order + 1) if math.gcd(a, chi.order) == 1]
+            orbit_of[chi] = frozenset(chi**a for a in units)
+        got = list(galois_orbits(order))
+        assert [chi for chi, _, _ in got] == order
+        for chi, rep, a in got:
+            assert 1 <= a <= rep.order and math.gcd(a, rep.order) == 1
+            assert chi == rep**a
+            # chi(n) = rep(n)^a on every unit n, read from the values alone
+            for n in range(N):
+                e, f = chi.exponent_of(n), rep.exponent_of(n)
+                assert (e is None) == (f is None)
+                if e is not None:
+                    assert e == f * a % rep.order
+            assert rep == next(psi for psi in order if chi in orbit_of[psi])
+
+
+def test_gen_bernoulli_is_sigma_a_of_the_orbit_representative():
+    # B_{k,chi} by the former Fraction-Horner closed form against sigma_a of
+    # the representative's value, and |B_{k,chi}| by mpmath against abs_embed
+    # of the representative's value at a
+    seen = 0
+    for N in (5, 7, 11, 13, 16, 21, 25):
+        primitive = [chi for chi in characters_mod(N) if chi.is_primitive()]
+        for chi, rep, a in galois_orbits(primitive):
+            seen += rep is not chi
+            for k in (1, 2, 3, 4, 12):
+                direct = gen_bernoulli_fraction_horner(k, chi)
+                assert direct == sigma(gen_bernoulli(k, rep), a), (chi, k)
+                assert abs_embed(gen_bernoulli(k, rep), a) == abs_embed_mpmath(direct), (chi, k)
+    assert seen > 30
+
+
+def test_unit_root_fixed_is_within_one_unit_on_the_whole_circle():
+    import mpmath
+
+    for m in (1, 2, 3, 5, 7, 12, 60):
+        for a in range(m):
+            for bits in (1, 8, 106, 424):
+                c, s = _unit_root_fixed(m, a, bits)
+                with mpmath.workprec(bits + 64):
+                    theta = 2 * mpmath.pi * a / m
+                    assert abs(c - mpmath.ldexp(mpmath.cos(theta), bits)) <= 1, (m, a, bits)
+                    assert abs(s - mpmath.ldexp(mpmath.sin(theta), bits)) <= 1, (m, a, bits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 60).flatmap(
+        lambda m: st.tuples(
+            st.just(m),
+            st.lists(
+                st.fractions(max_denominator=50).filter(lambda c: abs(c) <= 10**6),
+                min_size=cyclotomic_field(m).degree,
+                max_size=cyclotomic_field(m).degree,
+            ),
+            st.integers(-3 * m, 3 * m).filter(lambda a: math.gcd(a, m) == 1),
+        )
+    )
+)
+def test_abs_embed_at_a_is_the_absolute_value_of_sigma_a(case):
+    m, coords, a = case
+    x = cyclotomic_field(m).element(coords)
+    image = sigma(x, a % m)
+    got = abs_embed(x, a)
+    assert got == abs_embed(image) == abs_embed_mpmath(image)
+    assert got == abs_embed(x, -a)
+
+
+def test_abs_embed_needs_a_prime_to_the_zeta_order():
+    x = cyclotomic_field(12).gen()
+    for a in (0, 2, 3, 6, -4):
+        with pytest.raises(ValueError):
+            abs_embed(x, a)
+    assert abs_embed(Fraction(-3, 4), 2) == 0.75  # a rational is fixed by every sigma_a

@@ -8,9 +8,9 @@ import pytest
 from modforms.dirichlet import abs_embed, characters_mod, trivial_character
 from modforms import hecke, scans
 from modforms.hecke import UnsupportedHeckeField
+from modforms.numfield import embed_cyclotomic
 from modforms.polys import RatPoly, discriminant, poly_irreducible
 from modforms.scans import (
-    _q1_relation_holds,
     alpha_beta,
     bernoulli_bound_check,
     conductor_cutoff,
@@ -112,24 +112,28 @@ def test_finiteness_scan_unit_coefficients():
         assert eq12_holds_exactly(Fraction(1), cell.k, chars[0]) == cell.satisfies_eq
 
 
-def test_finiteness_cells_match_their_own_characters(monkeypatch):
-    # a conjugate pair is evaluated once; each cell still equals a direct
-    # evaluation of its own character
-    calls = []
-    monkeypatch.setattr(scans, "alpha_beta", lambda k, phi: calls.append(phi) or alpha_beta(k, phi))
+def test_finiteness_cells_match_their_own_characters():
+    # alpha and beta are evaluated once per Galois orbit; each cell still
+    # equals a direct, unmemoized evaluation of its own character
+    alpha_beta.cache_clear()
     report = finiteness_scan(Fraction(3), Fraction(-1, 7), 40, 12)
+    evaluated = alpha_beta.cache_info().misses
+    orbits = set()
     conjugate_cells = 0
     for cell in report.cells:
         (phi,) = [c for c in characters_mod(cell.conductor) if c.exponents == cell.exponents]
         conjugate_cells += phi.order > 2
-        alpha, beta = alpha_beta(cell.k, phi)
+        units = [j for j in range(1, phi.order + 1) if math.gcd(j, phi.order) == 1]
+        orbits.add((cell.k, frozenset(phi**j for j in units)))
+        alpha, beta = alpha_beta.__wrapped__(cell.k, phi)
         assert (cell.alpha_abs, cell.beta_abs, cell.satisfies_eq) == (
             abs_embed(alpha),
             abs_embed(beta),
-            _q1_relation_holds(Fraction(-1, 7), alpha, beta),
+            beta.parent.coerce(Fraction(-1, 7)) + 2 * beta == embed_cyclotomic(alpha, beta.parent),
         ), cell
     assert conjugate_cells > 100
-    assert len(calls) == len(report.cells) - conjugate_cells // 2
+    assert len(orbits) < len(report.cells) - conjugate_cells // 2
+    assert evaluated == len(orbits)
 
 
 def test_finiteness_scan_large_b_no_survivors():
