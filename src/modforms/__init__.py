@@ -6,7 +6,6 @@ from .arith import (
     Factorization,
     SquarefreeSplit,
     factorize,
-    quad_field_discriminant,
     squarefree_kernel,
 )
 from .dirichlet import (

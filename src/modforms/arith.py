@@ -189,6 +189,16 @@ class SquarefreeSplit(NamedTuple):
     square_root: int  # n == squarefree * square_root**2
     complete: bool  # False when the factoring caps were hit
 
+    def field_discriminant(self) -> int:
+        """Discriminant of Q(sqrt(n)): s when s = 1 mod 4, else 4s, for the squarefree
+        part s. An incomplete split, or s = 1 (Q(sqrt(n)) = Q), raises ValueError."""
+        s = self.squarefree
+        if not self.complete:
+            raise ValueError(f"could not certify {s} squarefree within the factoring caps")
+        if s == 1:
+            raise ValueError("a square n gives Q(sqrt(n)) = Q, which is not quadratic")
+        return s if s % 4 == 1 else 4 * s
+
 
 def squarefree_kernel(
     n: int,
@@ -212,14 +222,3 @@ def squarefree_kernel(
     s *= fact.cofactor  # unfactored part carried into s, flagged below
     return SquarefreeSplit(sign * s, f, fact.complete)
 
-
-def quad_field_discriminant(d: int) -> int:
-    """Field discriminant of Q(sqrt(d)) for squarefree d != 0, 1."""
-    if d in (0, 1):
-        raise ValueError("d must differ from 0 and 1")
-    split = squarefree_kernel(d)
-    if not split.complete:
-        raise ValueError(f"could not certify {d} squarefree within factoring caps")
-    if split.square_root != 1:
-        raise ValueError(f"{d} is not squarefree (square part {split.square_root}**2)")
-    return d if d % 4 == 1 else 4 * d

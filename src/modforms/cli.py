@@ -127,8 +127,7 @@ def cmd_qexp(args) -> tuple[dict, bool]:
 
 def cmd_basis(args) -> tuple[dict, bool]:
     k = args.weight
-    prec = _resolve_prec(args, k)
-    basis = miller_basis(k, prec, cusp_only=args.cusp)
+    basis = miller_basis(k, _resolve_prec(args, k), cusp_only=args.cusp)
     forms = [f.as_json() for f in basis.forms]
     return {"weight": k, "cusp_only": args.cusp, "dim": basis.dim, "forms": forms}, True
 

@@ -406,7 +406,7 @@ def abs_embed(x: NumberFieldElement | Fraction | int, a: int = 1) -> float:
     if math.gcd(a, m) != 1:
         raise ValueError(f"a = {a} is not prime to the zeta order {m}")
     a = min(a % m, -a % m)
-    d, ints = clear_denominators(x.coords)
+    d, ints = x.cleared()
     bound = 4 * len(ints) ** 2 * max(map(abs, ints)) << 64
     bits = 106
     while True:

@@ -132,7 +132,7 @@ def weight_monomials(k: int, prec: int) -> list[QSeries]:
     return monomials
 
 
-def miller_basis(k: int, prec: int | None = None, cusp_only: bool = False) -> SpaceBasis:
+def miller_basis(k: int, prec: int, cusp_only: bool = False) -> SpaceBasis:
     """Echelonized monomial basis of the weight-k space (or its cusp subspace).
 
     The rows [L | R] of weight_monomials are integral, L unit upper triangular,
@@ -141,8 +141,6 @@ def miller_basis(k: int, prec: int | None = None, cusp_only: bool = False) -> Sp
     if k % 2 or k < 0 or k == 2:
         raise ValueError("weight must be 0 or an even integer >= 4")
     d = dim_Mk(k)
-    if prec is None:
-        prec = 10 * d + 10
     if prec <= d:
         raise ValueError(f"prec must exceed the dimension {d} to echelonize")
     D, w = bareiss_solve([clear_denominators(m.coeffs)[1] for m in weight_monomials(k, prec)])

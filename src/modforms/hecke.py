@@ -6,7 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import divisors, squarefree_kernel
+from .arith import SquarefreeSplit, divisors, squarefree_kernel
 from .dirichlet import DirichletCharacter
 from .forms import SpaceBasis, cusp_dim, miller_basis
 from .linalg import charpoly_rational, kernel_vector, mat_mul, weighted_sum
@@ -146,9 +146,10 @@ def hecke_field(k: int, basis: SpaceBasis | None = None) -> tuple[HeckeMatrix, N
     return matrix, NumberField(cp, certificate=cert)
 
 
-def sqrt_of_disc_part(K: NumberField) -> tuple[NumberFieldElement, int]:
-    """For quadratic K = Q[x]/(x^2 - s x - c), return (sqrt(D), D) with D the
-    squarefree part of the discriminant; positive at the larger real root."""
+def sqrt_of_disc_part(K: NumberField) -> tuple[NumberFieldElement, SquarefreeSplit]:
+    """For quadratic K = Q[x]/(x^2 - s x - c), return (sqrt(D), split) with split
+    the complete squarefree split D f^2 of the modulus's discriminant, which the
+    callers read the field from; sqrt(D) is positive at the larger real root."""
     assert K.degree == 2
     s = -K.modulus.coeffs[1]
     disc = discriminant(K.modulus)
@@ -156,10 +157,9 @@ def sqrt_of_disc_part(K: NumberField) -> tuple[NumberFieldElement, int]:
     split = squarefree_kernel(disc.numerator)
     if not split.complete:
         raise ArithmeticError("could not certify the squarefree part of the discriminant")
-    d, fsq = split.squarefree, split.square_root
-    root = (2 * K.gen() - s) * Fraction(1, fsq)
-    assert root * root == d
-    return root, d
+    root = (2 * K.gen() - s) * Fraction(1, split.square_root)
+    assert root * root == split.squarefree
+    return root, split
 
 
 class Eigenform(NamedTuple):

@@ -78,7 +78,7 @@ def verify_quadratic_identity(
     return IdentityReport(name, "verified", residual.prec)
 
 
-def verify_ramanujan(prec: int = 200) -> IdentityReport:
+def verify_ramanujan(prec: int) -> IdentityReport:
     """E_12 - E_6^2 = (1008*756/691) Delta exactly, and the induced congruence
     tau(n) = sigma_11(n) mod 691 for n <= 500."""
     congruence_range = 500
@@ -305,7 +305,8 @@ def verify_table1() -> IdentityReport:
         products over Q and the scales in the Hecke field K."""
         dec = nonvanishing_report(k, prec=TABLE1_PREC).decomposition
         K = dec.hecke_field
-        root, d = sqrt_of_disc_part(K)
+        root, split = sqrt_of_disc_part(K)
+        d = split.squarefree
         if d != TABLE1_DISCS[2 * k]:
             return False, f"discriminant part {d} != {TABLE1_DISCS[2 * k]}"
         terms = [p.coerce_into(K) for p in products]
@@ -383,5 +384,5 @@ VERIFY_TARGETS = {
 }
 
 
-def verify_all(prec: int = 100) -> list[IdentityReport]:
+def verify_all(prec: int) -> list[IdentityReport]:
     return [verify(prec) for verify in VERIFY_TARGETS.values()]

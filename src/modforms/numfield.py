@@ -147,11 +147,19 @@ class NumberField:
 class NumberFieldElement:
     """Element of Q[x]/(m) as a rational coordinate vector of length deg(m)."""
 
-    __slots__ = ("parent", "coords")
+    __slots__ = ("parent", "coords", "_cleared")
 
     def __init__(self, parent: NumberField, coords: tuple[Fraction, ...]):
         self.parent = parent
         self.coords = coords
+        self._cleared = None
+
+    def cleared(self) -> tuple[int, tuple[int, ...]]:
+        """(d, ints) with coords = ints / d, cleared once per element."""
+        if self._cleared is None:
+            d, ints = clear_denominators(self.coords)
+            self._cleared = d, tuple(ints)
+        return self._cleared
 
     def _check(self, other: "NumberFieldElement") -> None:
         if self.parent != other.parent:
@@ -207,7 +215,7 @@ class NumberFieldElement:
         if not isinstance(other, NumberFieldElement):
             return NotImplemented
         self._check(other)
-        (da, a), (db, b) = clear_denominators(self.coords), clear_denominators(other.coords)
+        (da, a), (db, b) = self.cleared(), other.cleared()
         return self.parent.reduce(da * db, _dense_mul(a, b, 0))
 
     __rmul__ = __mul__

@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .arith import factorize, quad_field_discriminant, squarefree_kernel
+from .arith import factorize, squarefree_kernel
 from .dirichlet import (
     DirichletCharacter,
     abs_embed,
@@ -332,10 +332,10 @@ def finiteness_scan(
 
 
 class MaedaReport(NamedTuple):
-    """poly_disc is the discriminant of the charpoly, computed once per weight
-    and split into disc_squarefree; the cycle-type flags read the
-    certificate's patterns. The report of a one-dimensional space has no
-    charpoly, no certificate and every flag set."""
+    """poly_disc is the discriminant of the charpoly, computed and split once
+    per weight: disc_squarefree and, at d = 2, quad_field_disc read that split.
+    The cycle-type flags read the certificate's patterns. The report of a
+    one-dimensional space has no charpoly, no certificate and every flag set."""
 
     weight: int
     dim: int
@@ -412,19 +412,9 @@ def maeda_check(k: int) -> MaedaReport:
     disc = discriminant(cp)
     # bounded caps: large higher-degree discriminants come back flagged partial
     split = squarefree_kernel(disc.numerator, trial_bound=10**5, rho_iterations=20_000)
-    quad_disc = None
-    if d == 2 and split.complete:
-        quad_disc = quad_field_discriminant(split.squarefree)
-    return MaedaReport(
-        k,
-        d,
-        cp,
-        cert,
-        disc,
-        split.squarefree if split.complete else None,
-        split.complete,
-        quad_disc,
-    )
+    quad_disc = split.field_discriminant() if d == 2 and split.complete else None
+    squarefree = split.squarefree if split.complete else None
+    return MaedaReport(k, d, cp, cert, disc, squarefree, split.complete, quad_disc)
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +472,9 @@ def hecke_field_intersection_check(k: int) -> IntersectionReport:
         raise ValueError("the quadratic-side route needs dim 2 in weight k")
     _, K1 = hecke_field(k)
     _, K2 = hecke_field(2 * k)
-    disc1, disc2 = discriminant(K1.modulus), discriminant(K2.modulus)
-    quad_disc = quad_field_discriminant(sqrt_of_disc_part(K1)[1])
+    split = sqrt_of_disc_part(K1)[1]  # K1.modulus has discriminant D f^2
+    disc1, disc2 = Fraction(split.squarefree * split.square_root**2), discriminant(K2.modulus)
+    quad_disc = split.field_discriminant()
     g = math.gcd(abs(disc1.numerator), abs(disc2.numerator))
     fact = factorize(g, trial_bound=10**6, rho_iterations=0)
     findings: list[SharedPrimeFinding] = []

@@ -10,7 +10,6 @@ from modforms.arith import (
     divisors,
     factorize,
     is_probable_prime,
-    quad_field_discriminant,
     sigma,
     squarefree_kernel,
 )
@@ -84,15 +83,26 @@ def test_squarefree_kernel():
 
 
 def test_quad_field_discriminant():
-    assert quad_field_discriminant(144169) == 144169  # 144169 = 1 mod 4
-    assert quad_field_discriminant(18209) == 18209  # 131*139 = 1 mod 4
-    assert quad_field_discriminant(2) == 8
-    assert quad_field_discriminant(-1) == -4
-    assert quad_field_discriminant(5) == 5
+    """The split answers the discriminant of Q(sqrt(n)) from its squarefree part."""
+    assert squarefree_kernel(144169).field_discriminant() == 144169  # 144169 = 1 mod 4
+    assert squarefree_kernel(18209).field_discriminant() == 18209  # 131*139 = 1 mod 4
+    assert squarefree_kernel(2).field_discriminant() == 8
+    assert squarefree_kernel(-1).field_discriminant() == -4
+    assert squarefree_kernel(5).field_discriminant() == 5
+    # a square part leaves the field alone: Q(sqrt(12)) = Q(sqrt(3)), and
+    # Q(sqrt(83041344)) = Q(sqrt(144169)), the weight-24 Hecke field
+    assert squarefree_kernel(12).field_discriminant() == 12
+    assert squarefree_kernel(83041344).field_discriminant() == 144169
+    assert squarefree_kernel(-18).field_discriminant() == -8
     with pytest.raises(ValueError):
-        quad_field_discriminant(1)
+        squarefree_kernel(1).field_discriminant()  # Q(sqrt(1)) = Q
     with pytest.raises(ValueError):
-        quad_field_discriminant(12)  # not squarefree
+        squarefree_kernel(49).field_discriminant()
+    # trial division to 100 and no rho leave 1000003 * 1000033 unfactored
+    partial = squarefree_kernel(1000003 * 1000033, trial_bound=100, rho_iterations=0)
+    assert not partial.complete
+    with pytest.raises(ValueError, match="factoring caps"):
+        partial.field_discriminant()
 
 
 def int_nth_root_scan(n):

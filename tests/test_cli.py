@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from modforms import hecke, identities, scans
+from modforms import dirichlet, hecke, identities, numfield, scans
 from modforms.arith import SquarefreeSplit
 from modforms.cli import _render_reports, build_parser, main
 from modforms.dirichlet import characters_mod, gen_bernoulli
@@ -216,6 +216,33 @@ def test_bounds_computes_each_galois_orbit_once(capsys, weight, conductors, dist
     assert all(row[chi] == row[chi**-1] for chi in chars)
     assert len({json.dumps(c) for c in checks}) == distinct
     assert gen_bernoulli.cache_info().misses == orbits
+
+
+@pytest.mark.parametrize("conductor, orbits", [(11, 1), (1009, 23)])
+def test_bounds_clears_each_orbit_value_once(capsys, monkeypatch, conductor, orbits):
+    """abs_embed reads sigma_a(B_{12,rep}) for every character of rep's orbit,
+    and the value's coordinates are cleared to integers once, not once per
+    character. Mod 11 the four primitive even characters form one orbit."""
+    embedded, cleared = [], []
+    real_abs_embed, real_clear = scans.abs_embed, numfield.clear_denominators
+
+    def abs_embed(x, a=1):
+        embedded.append(x)
+        return real_abs_embed(x, a)
+
+    def clear_denominators(a):
+        cleared.append(a)
+        return real_clear(a)
+
+    monkeypatch.setattr(scans, "abs_embed", abs_embed)
+    for module in (numfield, dirichlet):
+        monkeypatch.setattr(module, "clear_denominators", clear_denominators)
+    gen_bernoulli.cache_clear()  # values cached by earlier tests were cleared there
+    code, _, _ = run_cli(capsys, "bounds", "12", str(conductor), "--output", "json")
+    assert code == 0
+    values = list({id(x): x for x in embedded}.values())
+    assert len(values) == orbits < len(embedded)
+    assert [sum(a is x.coords for a in cleared) for x in values] == [1] * orbits
 
 
 def test_deterministic_output(capsys):

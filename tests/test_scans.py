@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from modforms.dirichlet import abs_embed, characters_mod, trivial_character
-from modforms import hecke, scans
-from modforms.hecke import UnsupportedHeckeField
+from modforms import arith, hecke, scans
+from modforms.hecke import UnsupportedHeckeField, certified_charpoly
 from modforms.numfield import embed_cyclotomic
 from modforms.polys import RatPoly, discriminant, poly_irreducible
 from modforms.scans import (
@@ -209,6 +209,36 @@ def test_maeda_agrees_with_square_test_for_quadratics():
         assert not is_square
 
 
+# The field discriminant of Q(sqrt(disc T_2)) at each weight with dim S_k = 2
+QUADRATIC_FIELD_DISCS = {
+    24: 144169, 28: 18209, 30: 51349, 32: 18295489, 34: 2356201, 38: 63737521,
+}
+
+
+def _count_calls(monkeypatch, fn, modules):
+    """Bind a counting wrapper of fn in each module; returns the argument list."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
+
+
+@pytest.mark.parametrize("k", sorted(QUADRATIC_FIELD_DISCS))
+def test_maeda_reads_the_quadratic_field_from_its_one_split(monkeypatch, k):
+    """At d = 2 the capped split of the T_2 discriminant also answers the
+    field discriminant; nothing factors the squarefree part again."""
+    calls = _count_calls(monkeypatch, arith.squarefree_kernel, (arith, hecke, scans))
+    rep = maeda_check(k)
+    assert rep.dim == 2 and rep.disc_factor_complete
+    assert len(calls) == 1
+    assert rep.quad_field_disc == QUADRATIC_FIELD_DISCS[k]
+
+
 def test_maeda_sn_evidence_for_moderate_weights():
     for k in (24, 36, 48):
         rep = maeda_check(k)
@@ -228,6 +258,38 @@ def test_intersection_checks():
     rep16 = hecke_field_intersection_check(16)
     assert rep16.verdict == "coprime"
     assert "rational" in rep16.detail
+
+
+def test_intersection_check_computes_the_weight_k_discriminant_once(monkeypatch):
+    cp24 = certified_charpoly(24)[1]
+    calls = _count_calls(monkeypatch, discriminant, (hecke, scans))
+    splits = _count_calls(monkeypatch, arith.squarefree_kernel, (arith, hecke, scans))
+    hecke_field_intersection_check(24)
+    assert sum(p == cp24 for (p,) in calls) == 1
+    assert len(splits) == 1
+
+
+@pytest.mark.parametrize("k", sorted(QUADRATIC_FIELD_DISCS))
+def test_intersection_report_at_every_quadratic_weight(k):
+    """The whole report, against discriminants computed here: the two charpoly
+    discriminants share only the primes 2 and 3, and neither of them ramifies
+    in the weight-k quadratic field."""
+    cp_k, cp_2k = certified_charpoly(k)[1], certified_charpoly(2 * k)[1]
+    clear = [
+        {"p": p, "ramified_in_quadratic": False, "index_divisor_in_double": None,
+         "conclusion": "clear"}
+        for p in (2, 3)
+    ]
+    assert hecke_field_intersection_check(k).as_json() == {
+        "k": k,
+        "pair": [k, 2 * k],
+        "verdict": "coprime",
+        "quad_field_disc": QUADRATIC_FIELD_DISCS[k],
+        "poly_disc_k": str(discriminant(cp_k)),
+        "poly_disc_2k": str(discriminant(cp_2k)),
+        "shared_primes": clear,
+        "detail": "",
+    }
 
 
 def test_intersection_check_without_a_certificate_raises(monkeypatch):
