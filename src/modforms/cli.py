@@ -41,11 +41,14 @@ def _parse_rational(flag: str, text: str) -> Fraction:
 
 def _parse_conductors(text: str) -> list[int]:
     try:
-        return [int(x) for x in text.split(",")]
+        conductors = [int(x) for x in text.split(",")]
     except ValueError:
         raise CliError(
             f"conductors must be a comma-separated integer list such as 1,3,4, got {text!r}"
         ) from None
+    if repeated := [n for i, n in enumerate(conductors) if n in conductors[:i]]:
+        raise CliError(f"conductor {repeated[0]} is listed more than once in {text!r}")
+    return conductors
 
 
 def _parse_character(spec: str):

@@ -406,12 +406,11 @@ def abs_embed(x: NumberFieldElement | Fraction | int, a: int = 1) -> float:
     if math.gcd(a, m) != 1:
         raise ValueError(f"a = {a} is not prime to the zeta order {m}")
     a = min(a % m, -a % m)
-    d, ints = x.cleared()
-    bound = 4 * len(ints) ** 2 * max(map(abs, ints)) << 64
+    bound = 4 * len(x.ints) ** 2 * max(map(abs, x.ints)) << 64
     bits = 106
     while True:
-        re, im = _fixed_eval(ints, *_unit_root_fixed(m, a, bits), bits)
+        re, im = _fixed_eval(x.ints, *_unit_root_fixed(m, a, bits), bits)
         norm = re * re + im * im
         if norm >= bound * bound:
-            return math.isqrt(norm) / (d << bits)
+            return math.isqrt(norm) / (x.den << bits)
         bits *= 2

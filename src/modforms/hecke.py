@@ -3,6 +3,7 @@ characteristic polynomials, and normalized eigenbases over number fields."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -204,11 +205,11 @@ def eigenbasis(k: int, prec: int | None = None) -> list[Eigenform]:
     matrix, field = hecke_field(k, basis)
     # a_r = sum_j v_j b_j(r), one integer product over the denominators of v and the basis
     v = kernel_vector(matrix.entries, field)
-    dv, vs = clear_denominators([c for x in v for c in x.coords])
+    dv = math.lcm(*(x.den for x in v))
     db, bs = clear_denominators([f.series.coeff(r) for r in range(prec) for f in basis.forms])
     rows = mat_mul([bs[r * d : (r + 1) * d] for r in range(prec)],
-                   [vs[j * d : (j + 1) * d] for j in range(d)])
-    coeffs = [field.element(Fraction(x, dv * db) for x in row) for row in rows]
+                   [[c * (dv // x.den) for c in x.ints] for x in v])
+    coeffs = [field.reduce(dv * db, row) for row in rows]
     g = Eigenform(k, field, QSeries(field, coeffs, prec), f"S{k}.a")
     assert g.a(n) == field.gen()
     assert field.modulus.evaluate(g.a(n)) == field.zero()

@@ -3,9 +3,10 @@ Dedekind index-divisor test."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .polys import (
     IrreducibilityCertificate,
@@ -80,7 +81,7 @@ class NumberField:
         self._int_modulus = [int(c) for c in modulus.coeffs]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, NumberField) and self.modulus == other.modulus
+        return self is other or (isinstance(other, NumberField) and self.modulus == other.modulus)
 
     def __hash__(self) -> int:
         return hash(self.modulus)
@@ -88,23 +89,26 @@ class NumberField:
     def __repr__(self) -> str:
         return f"NumberField({self.modulus!r})"
 
-    def element(self, coords: Iterable[Fraction | int]) -> "NumberFieldElement":
-        coords = [Fraction(c) for c in coords]
+    def element(self, coords: Sequence[Fraction | int]) -> "NumberFieldElement":
         if len(coords) > self.degree:
             raise ValueError("too many coordinates")
-        coords += [Fraction(0)] * (self.degree - len(coords))
-        return NumberFieldElement(self, tuple(coords))
+        return self.reduce(*clear_denominators(coords))
 
     def from_poly(self, coeffs: Sequence[Fraction | int]) -> "NumberFieldElement":
         """Reduce a polynomial in the generator modulo the modulus."""
         return self.reduce(*clear_denominators(coeffs))
 
-    def reduce(self, den: int, ints: list[int]) -> "NumberFieldElement":
-        """The element (ints mod modulus) / den: the only reduction, on Python
-        ints, since the modulus is monic and integral."""
-        rem = _dense_divmod(ints, self._int_modulus)[1]
-        rem += [0] * (self.degree - len(rem))
-        return NumberFieldElement(self, tuple(Fraction(c, den) for c in rem))
+    def reduce(self, den: int, ints: Sequence[int]) -> "NumberFieldElement":
+        """The element (ints mod modulus) / den in lowest terms, den > 0: the one
+        constructor of elements, on Python ints, as the modulus is monic and integral."""
+        if len(ints) > self.degree:
+            ints = _dense_divmod(ints, self._int_modulus)[1]
+        ints = [*ints, *[0] * (self.degree - len(ints))]
+        g = math.gcd(den, *ints) if den > 0 else -math.gcd(den, *ints)
+        if g != 1:
+            den //= g
+            ints = [c // g for c in ints]
+        return NumberFieldElement(self, den, tuple(ints))
 
     def zero(self) -> "NumberFieldElement":
         return self.element([])
@@ -134,9 +138,9 @@ class NumberField:
         """The nontrivial conjugate x -> trace(x) - x, degree-2 fields only."""
         if self.degree != 2:
             raise ValueError("quadratic conjugation needs a degree-2 field")
-        s = -self.modulus.coeffs[1]  # sum of the two roots
-        a, b = el.coords
-        return self.element([a + b * s, -b])
+        s = -self._int_modulus[1]  # sum of the two roots
+        a, b = el.ints
+        return self.reduce(el.den, [a + b * s, -b])
 
     def zeta_pow(self, j: int) -> "NumberFieldElement":
         if self.zeta_order is None:
@@ -145,58 +149,54 @@ class NumberField:
 
 
 class NumberFieldElement:
-    """Element of Q[x]/(m) as a rational coordinate vector of length deg(m)."""
+    """Element ints / den of Q[x]/(m), one int per power of the generator, den > 0
+    and gcd(den, *ints) = 1, as NumberField.reduce builds it (Cohen, GTM 138, 4.2.1)."""
 
-    __slots__ = ("parent", "coords", "_cleared")
+    __slots__ = ("parent", "den", "ints")
 
-    def __init__(self, parent: NumberField, coords: tuple[Fraction, ...]):
+    def __init__(self, parent: NumberField, den: int, ints: tuple[int, ...]):
         self.parent = parent
-        self.coords = coords
-        self._cleared = None
+        self.den = den
+        self.ints = ints
 
-    def cleared(self) -> tuple[int, tuple[int, ...]]:
-        """(d, ints) with coords = ints / d, cleared once per element."""
-        if self._cleared is None:
-            d, ints = clear_denominators(self.coords)
-            self._cleared = d, tuple(ints)
-        return self._cleared
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """The rational coordinates ints / den, built on each read."""
+        return tuple(Fraction(c, self.den) for c in self.ints)
 
     def _check(self, other: "NumberFieldElement") -> None:
         if self.parent != other.parent:
             raise ValueError("elements of different number fields")
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.ints)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.ints[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self.coords[0]
+        return Fraction(self.ints[0], self.den)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
-    def __add__(self, other):
+    def __add__(self, other, sign: int = 1):
         other = self._coerced(other)
         if other is NotImplemented:
             return NotImplemented
-        return NumberFieldElement(
-            self.parent, tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
+        d = math.lcm(self.den, other.den)
+        sa, sb = d // self.den, sign * (d // other.den)
+        return self.parent.reduce(d, [x * sa + y * sb for x, y in zip(self.ints, other.ints)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NumberFieldElement(self.parent, tuple(-a for a in self.coords))
+        return self.parent.reduce(self.den, [-x for x in self.ints])
 
     def __sub__(self, other):
-        other = self._coerced(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -211,12 +211,12 @@ class NumberFieldElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return NumberFieldElement(self.parent, tuple(a * other for a in self.coords))
+            n = other.numerator
+            return self.parent.reduce(self.den * other.denominator, [x * n for x in self.ints])
         if not isinstance(other, NumberFieldElement):
             return NotImplemented
         self._check(other)
-        (da, a), (db, b) = self.cleared(), other.cleared()
-        return self.parent.reduce(da * db, _dense_mul(a, b, 0))
+        return self.parent.reduce(self.den * other.den, _dense_mul(self.ints, other.ints, 0))
 
     __rmul__ = __mul__
 
@@ -230,12 +230,9 @@ class NumberFieldElement:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division by zero")
-            return self * (Fraction(1) / Fraction(other))
+            return self * (1 / Fraction(other))
         if not isinstance(other, NumberFieldElement):
             return NotImplemented
-        self._check(other)
         return self * other.inverse()
 
     def __rtruediv__(self, other):
@@ -248,13 +245,13 @@ class NumberFieldElement:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coords[0] == other
+            return self.is_rational() and self.ints[0] == other * self.den
         if not isinstance(other, NumberFieldElement):
             return NotImplemented
-        return self.parent == other.parent and self.coords == other.coords
+        return self.ints == other.ints and self.den == other.den and self.parent == other.parent
 
     def __hash__(self) -> int:
-        return hash((self.parent.modulus.coeffs, self.coords))
+        return hash((self.parent, self.den, self.ints))
 
     def __repr__(self) -> str:
         return f"NFE{list(self.coords)}"
@@ -293,8 +290,8 @@ def embed_cyclotomic(x: NumberFieldElement, target: NumberField) -> NumberFieldE
         return x
     step = M // m
     spread = [0] * ((x.parent.degree - 1) * step + 1)
-    spread[::step] = x.coords
-    return target.from_poly(spread)
+    spread[::step] = x.ints
+    return target.reduce(x.den, spread)
 
 
 # ---------------------------------------------------------------------------

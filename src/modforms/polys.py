@@ -262,7 +262,7 @@ def poly_xgcd(a: RatPoly, b: RatPoly) -> tuple[RatPoly, RatPoly, RatPoly]:
 def _inverse_mod(a, b) -> list[Fraction] | None:
     """a^-1 modulo b != 0 ([] when b is constant), or None when a and b share a
     factor. Column j of the integer matrix M is x^j a mod b scaled by s L^j (s
-    clears a mod b, L leads the cleared b); bareiss_solve gives w = D M^-1 e_0,
+    clears a mod b, L leads b scaled to integers); bareiss_solve gives w = D M^-1 e_0,
     D = det M, and u_j = s L^j w_j / D."""
     d = len(b) - 1
     s, col = clear_denominators(_dense_divmod(a, b)[1])
@@ -489,7 +489,7 @@ class IrreducibilityCertificate(NamedTuple):
 
 
 def _rational_root_candidates(p: RatPoly) -> list[Fraction] | None:
-    """All rational-root candidates of an integer-cleared polynomial, or None
+    """All rational-root candidates of a polynomial scaled to integers, or None
     when the endpoint coefficients do not factor by trial division to 10^5."""
     _, ints = clear_denominators(p.coeffs)
     c0, lead = ints[0], ints[-1]

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from modforms import dirichlet, hecke, identities, numfield, scans
+from modforms import dirichlet, hecke, identities, numfield, polys, scans
 from modforms.arith import SquarefreeSplit
 from modforms.cli import _render_reports, build_parser, main
 from modforms.dirichlet import characters_mod, gen_bernoulli
@@ -219,30 +219,31 @@ def test_bounds_computes_each_galois_orbit_once(capsys, weight, conductors, dist
 
 
 @pytest.mark.parametrize("conductor, orbits", [(11, 1), (1009, 23)])
-def test_bounds_clears_each_orbit_value_once(capsys, monkeypatch, conductor, orbits):
+def test_bounds_reads_each_orbit_value_as_stored(capsys, monkeypatch, conductor, orbits):
     """abs_embed reads sigma_a(B_{12,rep}) for every character of rep's orbit,
-    and the value's coordinates are cleared to integers once, not once per
-    character. Mod 11 the four primitive even characters form one orbit."""
+    from the value's integers over its denominator as stored: its coordinates
+    never reach clear_denominators. Mod 11 the four primitive even characters
+    form one orbit."""
     embedded, cleared = [], []
-    real_abs_embed, real_clear = scans.abs_embed, numfield.clear_denominators
+    real_abs_embed, real_clear = scans.abs_embed, polys.clear_denominators
 
     def abs_embed(x, a=1):
         embedded.append(x)
         return real_abs_embed(x, a)
 
     def clear_denominators(a):
-        cleared.append(a)
+        cleared.append(tuple(a))
         return real_clear(a)
 
     monkeypatch.setattr(scans, "abs_embed", abs_embed)
-    for module in (numfield, dirichlet):
+    for module in (numfield, dirichlet, polys):
         monkeypatch.setattr(module, "clear_denominators", clear_denominators)
-    gen_bernoulli.cache_clear()  # values cached by earlier tests were cleared there
+    gen_bernoulli.cache_clear()  # values cached by earlier tests were built there
     code, _, _ = run_cli(capsys, "bounds", "12", str(conductor), "--output", "json")
     assert code == 0
     values = list({id(x): x for x in embedded}.values())
     assert len(values) == orbits < len(embedded)
-    assert [sum(a is x.coords for a in cleared) for x in values] == [1] * orbits
+    assert [sum(a == x.coords for a in cleared) for x in values] == [0] * orbits
 
 
 def test_deterministic_output(capsys):
@@ -390,6 +391,14 @@ def test_bounds_with_a_malformed_conductor_list_is_a_usage_error(capsys, conduct
         "error: conductors must be a comma-separated integer list such as 1,3,4,"
         f" got {conductors!r}\n"
     )
+
+
+@pytest.mark.parametrize("weight, conductors, repeated", [("12", "1,1", 1), ("13", "3,4,3", 3)])
+def test_bounds_with_a_repeated_conductor_is_a_usage_error(capsys, weight, conductors, repeated):
+    """A repeated conductor would list each of its checks twice."""
+    code, out, err = run_cli(capsys, "bounds", weight, conductors, "--output", "json")
+    assert (code, out) == (2, "")
+    assert err == f"error: conductor {repeated} is listed more than once in {conductors!r}\n"
 
 
 @pytest.mark.parametrize("flag, value", [("--kmax", "-5"), ("--kmax", "0"), ("--lmax", "-2")])

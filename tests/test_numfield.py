@@ -1,10 +1,14 @@
+import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modforms.forms import dim_Sk
-from modforms.hecke import certified_charpoly
+from modforms.hecke import certified_charpoly, hecke_field
 from modforms.numfield import (
     QQ,
     NumberField,
@@ -12,7 +16,7 @@ from modforms.numfield import (
     dedekind_index_test,
     embed_cyclotomic,
 )
-from modforms.polys import RatPoly, discriminant, power_sums
+from modforms.polys import RatPoly, discriminant, poly_xgcd, power_sums
 
 
 def quad(d):
@@ -194,3 +198,143 @@ def test_dedekind_unramified_primes_never_divide_index():
         for q in primes:
             if disc.numerator % q:
                 assert dedekind_index_test(poly, q) is False
+
+
+# ---------------------------------------------------------------------------
+# The element form (den, ints) against the Fraction-coordinate form
+# ---------------------------------------------------------------------------
+
+
+class FractionElement:
+    """The oracle: an element as one Fraction per power of the generator,
+    with sums coordinatewise and products and inverses reduced by RatPoly
+    division modulo the field's modulus."""
+
+    def __init__(self, K, coords):
+        self.K = K
+        self.coords = tuple(map(Fraction, coords)) + (Fraction(0),) * (K.degree - len(coords))
+
+    @classmethod
+    def from_poly(cls, K, p):
+        return cls(K, divmod(p, K.modulus)[1].coeffs)
+
+    def __add__(self, other):
+        return FractionElement(self.K, [a + b for a, b in zip(self.coords, other.coords)])
+
+    def __neg__(self):
+        return FractionElement(self.K, [-a for a in self.coords])
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        if isinstance(other, Fraction):
+            return FractionElement(self.K, [a * other for a in self.coords])
+        return self.from_poly(self.K, RatPoly(self.coords) * RatPoly(other.coords))
+
+    def inverse(self):
+        g, u, _ = poly_xgcd(RatPoly(self.coords), self.K.modulus)
+        assert g == RatPoly([1])
+        return self.from_poly(self.K, u)
+
+    def is_zero(self):
+        return not any(self.coords)
+
+    def is_rational(self):
+        return not any(self.coords[1:])
+
+
+@lru_cache(maxsize=None)
+def element_form_field(name):
+    if name == "hecke36":
+        return hecke_field(36)[1]  # the degree-3 T_2 Hecke field of weight 36
+    if name.startswith("zeta"):
+        return cyclotomic_field(int(name[4:]))
+    return {"sqrt5": quad(5), "cbrt2": NumberField(RatPoly([-2, 0, 0, 1]))}[name]
+
+
+small_rationals = st.builds(
+    Fraction,
+    st.integers(-30, 30) | st.sampled_from([0, 0, 1, -1, 10**20 + 1]),
+    st.integers(1, 12) | st.sampled_from([1, 2**40 * 3]),
+)
+
+
+@st.composite
+def element_pairs(draw):
+    """A field, two coordinate lists, a nonzero rational scalar and an exponent."""
+    K = element_form_field(draw(st.sampled_from(["sqrt5", "cbrt2", "zeta5", "zeta12", "hecke36"])))
+    coords = st.lists(small_rationals, min_size=0, max_size=K.degree)
+    scalar = draw(small_rationals.filter(bool))
+    return K, draw(coords), draw(coords), scalar, draw(st.integers(-3, 3))
+
+
+def check_form(x):
+    """den > 0, one int per power of the generator, lowest terms."""
+    K = x.parent
+    assert type(x.den) is int and x.den > 0
+    assert len(x.ints) == K.degree and all(type(c) is int for c in x.ints)
+    assert math.gcd(x.den, *x.ints) == 1
+
+
+def agree(x, oracle):
+    check_form(x)
+    assert x.coords == x.parent.coords(x) == oracle.coords
+    assert x.is_zero() == oracle.is_zero()
+    assert x.is_rational() == oracle.is_rational()
+    if oracle.is_rational():
+        assert x.as_rational() == oracle.coords[0] == x
+    else:
+        with pytest.raises(ValueError):
+            x.as_rational()
+    # the same value built from its coordinates is the same (den, ints)
+    y = x.parent.element(oracle.coords)
+    assert (y.den, y.ints) == (x.den, x.ints) and y == x and hash(y) == hash(x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(element_pairs())
+def test_element_form_matches_fraction_coordinates(case):
+    K, ca, cb, q, e = case
+    a, b = K.element(ca), K.element(cb)
+    oa, ob = FractionElement(K, ca), FractionElement(K, cb)
+    agree(a, oa)
+    agree(b, ob)
+    agree(a + b, oa + ob)
+    agree(a - b, oa - ob)
+    agree(-a, -oa)
+    agree(a * b, oa * ob)
+    agree(a * q, oa * q)
+    agree(q * a, oa * q)
+    agree(a / q, oa * (1 / q))
+    agree(a + q, oa + FractionElement(K, [q]))
+    assert (a == b) == (oa.coords == ob.coords)
+    assert (a * b == b * a) and hash(a * b) == hash(b * a)
+    if not ob.is_zero():
+        agree(b.inverse(), ob.inverse())
+        agree(a / b, oa * ob.inverse())
+        power = FractionElement(K, [1])
+        for _ in range(abs(e)):
+            power = power * (ob if e > 0 else ob.inverse())
+        agree(b**e, power)
+
+
+@pytest.mark.parametrize("name", ["sqrt5", "cbrt2", "zeta5", "zeta12", "hecke36"])
+def test_equal_values_have_one_form(name):
+    """reduce takes any scaling of (den, ints), a negative denominator and a
+    polynomial longer than the degree to the one lowest-terms form."""
+    K = element_form_field(name)
+    d = K.degree
+    assert K.reduce(6, [3] + [0] * (d - 1)) == K.element([Fraction(1, 2)])
+    assert (K.reduce(6, [3]).den, K.reduce(6, [3]).ints) == (2, (1,) + (0,) * (d - 1))
+    rng = random.Random(d)
+    for _ in range(20):
+        ints = [rng.randint(-50, 50) for _ in range(2 * d + 1)]
+        den = rng.randint(1, 30)
+        x = K.from_poly([Fraction(c, den) for c in ints])
+        for m in (1, 7, -1, -12):
+            y = K.reduce(den * m, [c * m for c in ints])
+            check_form(y)
+            assert (y.den, y.ints) == (x.den, x.ints) and hash(y) == hash(x)
+    zero = K.reduce(5, [0] * d)
+    assert (zero.den, zero.ints) == (1, (0,) * d) and zero == K.zero() == 0
