@@ -3,7 +3,6 @@ characteristic polynomials, and normalized eigenbases over number fields."""
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -203,13 +202,11 @@ def eigenbasis(k: int, prec: int | None = None) -> list[Eigenform]:
     if prec <= n:
         raise ValueError(f"prec must exceed {n}: a_{n} generates the Hecke field")
     matrix, field = hecke_field(k, basis)
-    # a_r = sum_j v_j b_j(r), one integer product over the denominators of v and the basis
-    v = kernel_vector(matrix.entries, field)
-    dv = math.lcm(*(x.den for x in v))
+    # a_r = sum_j v_j b_j(r): one integer product of the basis rows and W, over D db
+    D, w = kernel_vector(matrix.entries)
     db, bs = clear_denominators([f.series.coeff(r) for r in range(prec) for f in basis.forms])
-    rows = mat_mul([bs[r * d : (r + 1) * d] for r in range(prec)],
-                   [[c * (dv // x.den) for c in x.ints] for x in v])
-    coeffs = [field.reduce(dv * db, row) for row in rows]
+    rows = mat_mul([bs[r * d : (r + 1) * d] for r in range(prec)], w)
+    coeffs = [field.reduce(D * db, row) for row in rows]
     g = Eigenform(k, field, QSeries(field, coeffs, prec), f"S{k}.a")
     assert g.a(n) == field.gen()
     assert field.modulus.evaluate(g.a(n)) == field.zero()

@@ -218,13 +218,13 @@ def decompose_in_eigenbasis(
         for n in range(prec)
     ]
     try:
-        minv = invert_rational(rows[1 : d2 + 1])
+        D, w = invert_rational(rows[1 : d2 + 1])
     except ValueError:
         raise ArithmeticError(
             "valence-formula violation: eigenvalue coefficient matrix is singular"
         ) from None
     rhs = [series.coeff(n + 1) for n in range(d2)]
-    coords = [weighted_sum(rhs, minv[j], base.zero()) for j in range(d2)]
+    coords = [weighted_sum(rhs, w[j], base.zero()) / D for j in range(d2)]
     for n in range(prec):
         if weighted_sum(coords, rows[n], base.zero()) != series.coeff(n):
             raise ArithmeticError(f"decomposition fails at coefficient {n}")

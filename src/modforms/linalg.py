@@ -1,5 +1,5 @@
 """Small dense exact linear algebra: products, charpolys and inverses on
-integers, ranks over number fields, and Hecke eigenvectors from one rational
+integers, ranks over number fields, and Hecke eigenvectors from one integer
 Krylov solve."""
 
 from __future__ import annotations
@@ -63,23 +63,24 @@ def rank(m, zero, one) -> int:
 
 
 def invert_rational(a):
-    """Inverse c W / det M of a square rational matrix M / c, M integral, for
-    (det M, W) = bareiss_solve([M | I]); raises ValueError when singular."""
+    """(D, W), integers with A^-1 = W / D, for a square rational matrix A = M / c,
+    M integral: D = det M and W = c adj M from (D, adj M) = bareiss_solve([M | I]);
+    raises ValueError when A is singular."""
     n = len(a)
     c, flat = clear_denominators([x for row in a for x in row])
     D, w = bareiss_solve([flat[i * n : (i + 1) * n] + [int(i == j) for j in range(n)]
                           for i in range(n)])
     if w is None:
         raise ValueError("singular matrix")
-    return [[Fraction(c * x, D) for x in row] for row in w]
+    return D, [[c * x for x in row] for row in w]
 
 
-def kernel_vector(t, field):
-    """The eigenvector v of a rational matrix T for the generator x of
+def kernel_vector(t):
+    """(D, W) for the eigenvector v of a rational matrix T for the generator x of
     K = Q[x]/(P), P the irreducible charpoly of T, with v_1 = 1 and no
     arithmetic in K: the rows u_i = e_1^T T^i give U v = (1, x, ..., x^(d-1)),
-    and U is invertible, so row j of U^-1 holds the coordinates of v_j."""
+    and U is invertible, so row j of W / D = U^-1 holds the coordinates of v_j."""
     u = [[int(j == 0) for j in range(len(t))]]
     while len(u) < len(t):
         u.append(mat_mul(u[-1:], t)[0])
-    return [field.element(row) for row in invert_rational(u)]
+    return invert_rational(u)

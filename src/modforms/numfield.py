@@ -89,13 +89,9 @@ class NumberField:
     def __repr__(self) -> str:
         return f"NumberField({self.modulus!r})"
 
-    def element(self, coords: Sequence[Fraction | int]) -> "NumberFieldElement":
-        if len(coords) > self.degree:
-            raise ValueError("too many coordinates")
-        return self.reduce(*clear_denominators(coords))
-
-    def from_poly(self, coeffs: Sequence[Fraction | int]) -> "NumberFieldElement":
-        """Reduce a polynomial in the generator modulo the modulus."""
+    def element(self, coeffs: Sequence[Fraction | int]) -> "NumberFieldElement":
+        """The polynomial in the generator with rational coefficients coeffs
+        (any length), reduced modulo the modulus."""
         return self.reduce(*clear_denominators(coeffs))
 
     def reduce(self, den: int, ints: Sequence[int]) -> "NumberFieldElement":
@@ -117,7 +113,7 @@ class NumberField:
         return self.element([1])
 
     def gen(self) -> "NumberFieldElement":
-        return self.from_poly([0, 1])
+        return self.element([0, 1])
 
     def coerce(self, x) -> "NumberFieldElement":
         if isinstance(x, NumberFieldElement):
@@ -226,7 +222,7 @@ class NumberFieldElement:
         g, u, _ = poly_xgcd(RatPoly(self.coords), self.parent.modulus)
         if g.degree != 0:
             raise ArithmeticError("modulus is not irreducible: gcd has positive degree")
-        return self.parent.from_poly(u.coeffs)
+        return self.parent.element(u.coeffs)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -251,6 +247,8 @@ class NumberFieldElement:
         return self.ints == other.ints and self.den == other.den and self.parent == other.parent
 
     def __hash__(self) -> int:
+        if self.is_rational():  # equal to its Fraction, so hashed as one
+            return hash(self.as_rational())
         return hash((self.parent, self.den, self.ints))
 
     def __repr__(self) -> str:

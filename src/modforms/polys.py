@@ -344,17 +344,6 @@ def discriminant(p: RatPoly) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def poly_mod_p(p: RatPoly, q: int) -> list[int]:
-    """Reduce a rational polynomial mod q; denominators must be units mod q."""
-    out = []
-    for c in p.coeffs:
-        den = c.denominator % q
-        if den == 0:
-            raise ValueError(f"denominator not invertible mod {q}")
-        out.append(c.numerator * pow(den, -1, q) % q)
-    return _dense_trim(out)
-
-
 def _pmul(a: list[int], b: list[int], q: int) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -432,16 +421,17 @@ def radical_mod_p(f: list[int], q: int) -> list[int]:
     return _pmul(w, radical_mod_p(_pth_root(r, q), q), q)
 
 
-def factor_degrees_mod_p(p: RatPoly, q: int) -> list[int]:
-    """Degrees of the irreducible factors of p mod q (sorted, with multiplicity
-    of distinct factors); raises ValueError when p is not squarefree mod q."""
-    if p.degree < 1:
+def factor_degrees_mod_p(P: Sequence[int], q: int) -> list[int]:
+    """Degrees of the irreducible factors mod q (sorted, with multiplicity of
+    distinct factors) of the integer polynomial with ascending, trimmed
+    coefficients P; raises ValueError when q divides the leading coefficient
+    or P is not squarefree mod q."""
+    if len(P) < 2:
         raise ValueError("degree >= 1 required")
-    f = poly_mod_p(p, q)
-    if len(f) - 1 != p.degree:
+    if P[-1] % q == 0:
         raise ValueError(f"{q} divides the leading coefficient")
-    inv = pow(f[-1], -1, q)
-    f = [c * inv % q for c in f]
+    inv = pow(P[-1], -1, q)
+    f = [c * inv % q for c in P]
     df = _pderiv(f, q)
     if len(_pgcd(f, df, q)) != 1:
         raise ValueError(f"polynomial is not squarefree mod {q}")
@@ -488,11 +478,11 @@ class IrreducibilityCertificate(NamedTuple):
         return self.status == "reducible"
 
 
-def _rational_root_candidates(p: RatPoly) -> list[Fraction] | None:
-    """All rational-root candidates of a polynomial scaled to integers, or None
-    when the endpoint coefficients do not factor by trial division to 10^5."""
-    _, ints = clear_denominators(p.coeffs)
-    c0, lead = ints[0], ints[-1]
+def _rational_root_candidates(P: Sequence[int]) -> list[Fraction] | None:
+    """All rational-root candidates of the integer polynomial with ascending
+    coefficients P, or None when the endpoint coefficients do not factor by
+    trial division to 10^5."""
+    c0, lead = P[0], P[-1]
     if c0 == 0:
         return [Fraction(0)]
     f0 = factorize(abs(c0), trial_bound=10**5, rho_iterations=0)
@@ -522,12 +512,13 @@ def _subset_sums(pattern: Sequence[int]) -> int:
 def poly_irreducible(p: RatPoly) -> IrreducibilityCertificate:
     """Certificate-based irreducibility test over Q.
 
-    The mod-q factor patterns come first, at the first 30 good primes: q
-    divides neither den (the lcm of the coefficient denominators) nor the
-    leading numerator, and factor_degrees_mod_p finds p squarefree mod q. A
-    skipped q divides disc(P), P = den p, and |disc(P)| <= d^d (sum c_i^2)^(d-1)
-    over the coefficients c_i of P (Mahler, 1964): once the skipped primes'
-    product passes that bound, disc(P) = 0 and no pattern is read.
+    The mod-q factor patterns of P = den p (den the lcm of the coefficient
+    denominators) come first, at the first 30 good primes: q divides neither
+    den nor the leading numerator, so P is a unit times p mod q and has its
+    pattern, and factor_degrees_mod_p finds P squarefree mod q. A skipped q
+    divides disc(P), and |disc(P)| <= d^d (sum c_i^2)^(d-1) over the
+    coefficients c_i of P (Mahler, 1964): once the skipped primes' product
+    passes that bound, disc(P) = 0 and no pattern is read.
     Rational-root candidates are tried only while every pattern still allows
     a linear factor, since a rational root shows up as a 1 in every pattern.
     While a proper factor degree stays open, one more good prime is read at
@@ -551,8 +542,8 @@ def poly_irreducible(p: RatPoly) -> IrreducibilityCertificate:
         skipped = 1
         for q in (q for q in iter_primes() if bad % q):
             try:
-                pattern = tuple(factor_degrees_mod_p(p, q))
-            except ValueError:  # q is prime to bad, so p is not squarefree mod q
+                pattern = tuple(factor_degrees_mod_p(P, q))
+            except ValueError:  # q is prime to bad, so P is not squarefree mod q
                 skipped *= q
                 if skipped > mahler:
                     return
@@ -570,10 +561,10 @@ def poly_irreducible(p: RatPoly) -> IrreducibilityCertificate:
             return cert("irreducible")
         return cert("reducible", witness_root=Fraction(r - b, 2 * a))
     if all(1 in pat for pat in patterns.values()):
-        candidates = _rational_root_candidates(p)
+        candidates = _rational_root_candidates(P)
         if candidates is not None:
             for r in candidates:
-                if p.evaluate(r) == 0:
+                if _dense_eval(P, r) == 0:
                     return cert("reducible", witness_root=r)
             if d == 3:
                 # a reducible cubic over Q must have a rational root

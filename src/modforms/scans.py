@@ -259,12 +259,7 @@ def eq12_holds_exactly(b: Fraction, k: int, phi: DirichletCharacter) -> bool:
     return beta.parent.coerce(b) + 2 * beta == embed_cyclotomic(alpha, beta.parent)
 
 
-def finiteness_scan(
-    a: Fraction,
-    b: Fraction,
-    k_max: int = 60,
-    l_max: int = 10,
-) -> FinitenessReport:
+def finiteness_scan(a: Fraction, b: Fraction, k_max: int, l_max: int) -> FinitenessReport:
     """Exhibit the finiteness of the coefficient equation b + 2 beta = alpha.
 
     k_bound is the largest k <= 200 at which the magnitude envelope still

@@ -41,7 +41,7 @@ def _sympy_irreducible(p: RatPoly) -> bool:
 def _direct_patterns(p: RatPoly, count: int) -> dict[int, tuple[int, ...]]:
     """factor_degrees_mod_p at the first count primes dividing no coefficient
     denominator, the leading numerator or the discriminant."""
-    den, _ = polys.clear_denominators(p.coeffs)
+    den, P = polys.clear_denominators(p.coeffs)
     disc = discriminant(p)
     out: dict[int, tuple[int, ...]] = {}
     if disc == 0:
@@ -50,7 +50,7 @@ def _direct_patterns(p: RatPoly, count: int) -> dict[int, tuple[int, ...]]:
         if len(out) == count:
             return out
         if den % q and p.lead.numerator % q and disc.numerator % q:
-            out[q] = tuple(factor_degrees_mod_p(p, q))
+            out[q] = tuple(factor_degrees_mod_p(P, q))
 
 
 @settings(max_examples=150, deadline=None)

@@ -338,7 +338,7 @@ def sigma(x, a: int):
     spread = [Fraction(0)] * m
     for i, c in enumerate(x.coords):
         spread[i * a % m] += c
-    return x.parent.from_poly(spread)
+    return x.parent.element(spread)
 
 
 @pytest.mark.parametrize("N", [*range(1, 41), 105, 120])

@@ -173,7 +173,9 @@ def test_power_basis_matrix_is_integral():
         d = m.dim
         monos = weight_monomials(k, d + 1)[1:]
         p = [[monos[j].coeff(i + 1) for j in range(d)] for i in range(d)]
-        return mat_mul(mat_mul(invert_rational(p), [list(r) for r in m.entries]), p)
+        D, w = invert_rational(p)
+        pinv = [[Fraction(x, D) for x in row] for row in w]
+        return mat_mul(mat_mul(pinv, [list(r) for r in m.entries]), p)
 
     for n, k in ((2, 24), (2, 16), (3, 24), (2, 28)):
         for row in power_basis_matrix(n, k):

@@ -27,6 +27,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.subresultants_qq_zz import res_q
 
+from modforms import linalg
 from modforms.forms import cusp_dim
 from modforms.hecke import certified_charpoly, charpoly, hecke_field, hecke_matrix
 from modforms.linalg import (
@@ -197,7 +198,7 @@ def test_number_field_inverse_on_cyclotomic_and_hecke_fields():
                 continue
             inv = x.inverse()
             assert x * inv == K.one()
-            assert inv == K.from_poly(euclid_xgcd(RatPoly(x.coords), K.modulus)[1].coeffs)
+            assert inv == K.element(euclid_xgcd(RatPoly(x.coords), K.modulus)[1].coeffs)
 
 
 def test_dense_divmod_by_zero_raises():
@@ -229,7 +230,7 @@ def test_number_field_reduction_matches_sympy_rem():
         for n in range(3 * d + 2):  # polynomials of degree up to 3d
             coeffs = rand(n)
             expected = from_sympy(sympy.rem(to_sympy(coeffs), modulus))
-            assert K.from_poly(coeffs).coords == tuple(expected + [0] * (d - len(expected)))
+            assert K.element(coeffs).coords == tuple(expected + [0] * (d - len(expected)))
         for _ in range(4):
             x, y = K.element(rand(d)), K.element(rand(d))
             expected = from_sympy(sympy.rem(to_sympy(x.coords) * to_sympy(y.coords), modulus))
@@ -422,7 +423,31 @@ def test_invert_rational_matches_sympy(m):
         with pytest.raises(ValueError, match="singular"):
             invert_rational(m)
     else:
-        assert invert_rational(m) == from_sympy_matrix(a.inv())
+        D, w = invert_rational(m)
+        assert [[Fraction(x, D) for x in row] for row in w] == from_sympy_matrix(a.inv())
+
+
+def test_invert_rational_and_kernel_vector_build_no_fraction(monkeypatch):
+    # the integer (D, W) of the one Bareiss solve is the result: no entry goes
+    # through a Fraction on the way out
+    matrices = [hecke_matrix(2, k).entries for k in (24, 72, 100, 160)]
+    rng = random.Random(29)
+    m = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(6)] for _ in range(6)]
+    built = []
+
+    def counting_fraction(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(linalg, "Fraction", counting_fraction)
+    for t in matrices:
+        D, w = kernel_vector(t)
+        assert len(w) == len(t) and all(type(x) is int for row in w for x in [D, *row])
+    D, w = invert_rational(m)
+    assert mat_mul(m, w) == [[D * int(i == j) for j in range(6)] for i in range(6)]
+    assert built == []
+    charpoly_rational(m)  # the wrapper is live: the charpoly's coefficients go through it
+    assert built
 
 
 @settings(max_examples=150, deadline=None)
@@ -523,7 +548,8 @@ def test_krylov_eigenvector_matches_the_gauss_jordan_kernel(k):
         [field.coerce(e) - (x if i == j else field.zero()) for j, e in enumerate(row)]
         for i, row in enumerate(matrix.entries)
     ]
-    w = kernel_vector(matrix.entries, field)
+    D, W = kernel_vector(matrix.entries)
+    w = [field.element([Fraction(x, D) for x in row]) for row in W]
     assert w[0] == field.one()
     assert all(weighted_sum(row, w, field.zero()) == 0 for row in t_minus_x)
     v = gauss_jordan_kernel_vector(t_minus_x, field)

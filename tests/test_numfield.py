@@ -284,12 +284,26 @@ def agree(x, oracle):
     assert x.is_rational() == oracle.is_rational()
     if oracle.is_rational():
         assert x.as_rational() == oracle.coords[0] == x
+        assert hash(x) == hash(oracle.coords[0])
     else:
         with pytest.raises(ValueError):
             x.as_rational()
     # the same value built from its coordinates is the same (den, ints)
     y = x.parent.element(oracle.coords)
     assert (y.den, y.ints) == (x.den, x.ints) and y == x and hash(y) == hash(x)
+
+
+@pytest.mark.parametrize("name", ["sqrt5", "cbrt2", "zeta5", "zeta12", "hecke36"])
+def test_a_rational_element_hashes_as_its_value(name):
+    """a == b implies hash(a) == hash(b): a rational element equals its
+    Fraction, so sets and dict keys see one value."""
+    K = element_form_field(name)
+    for q in (Fraction(1, 2), Fraction(-7, 3), Fraction(5), Fraction(0)):
+        x = K.coerce(q)
+        assert x == q and hash(x) == hash(q)
+        assert len({x, q}) == 1 and {q: "value"}[x] == "value"
+    assert K.one() in {1} and K.zero() in {0}
+    assert len({K.gen(), K.gen() + 0}) == 1
 
 
 @settings(max_examples=150, deadline=None)
@@ -331,7 +345,7 @@ def test_equal_values_have_one_form(name):
     for _ in range(20):
         ints = [rng.randint(-50, 50) for _ in range(2 * d + 1)]
         den = rng.randint(1, 30)
-        x = K.from_poly([Fraction(c, den) for c in ints])
+        x = K.element([Fraction(c, den) for c in ints])
         for m in (1, 7, -1, -12):
             y = K.reduce(den * m, [c * m for c in ints])
             check_form(y)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -84,12 +85,37 @@ def test_discriminant_from_roots_oracle():
 
 
 def test_factor_degrees_mod_p():
-    assert factor_degrees_mod_p(RatPoly([1, 0, 1]), 5) == [1, 1]
-    assert factor_degrees_mod_p(RatPoly([1, 0, 1]), 3) == [2]
+    assert factor_degrees_mod_p([1, 0, 1], 5) == [1, 1]
+    assert factor_degrees_mod_p([1, 0, 1], 3) == [2]
     # reduce mod 7 and brute-force roots: x^2 + 5x + 6 = (x+2)(x+3)
-    assert factor_degrees_mod_p(RatPoly([-20468736, -1080, 1]), 7) == [1, 1]
+    assert factor_degrees_mod_p([-20468736, -1080, 1], 7) == [1, 1]
     with pytest.raises(ValueError):
-        factor_degrees_mod_p(RatPoly([1, 0, 7]), 7)
+        factor_degrees_mod_p([1, 0, 7], 7)
+
+
+def test_factor_degrees_mod_p_matches_sympy():
+    # random integer P, non-monic and negative leads included, at primes q
+    # dividing neither the lead nor disc(P); a unit multiple has the same pattern
+    x = sympy.Symbol("x")
+    rng = random.Random(29)
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 101]
+    checked = 0
+    while checked < 80:
+        d = rng.randint(1, 8)
+        P = [rng.randint(-30, 30) for _ in range(d)] + [rng.choice([-1, 1]) * rng.randint(1, 12)]
+        disc, q = discriminant(RatPoly(P)), rng.choice(primes)
+        if P[-1] % q == 0 or disc.numerator % q == 0:
+            continue
+        factors = sympy.Poly(P[::-1], x, modulus=q).factor_list()[1]
+        expected = sorted(f.degree() for f, e in factors for _ in range(e))
+        assert factor_degrees_mod_p(P, q) == expected
+        u = rng.randint(1, q - 1) + q * rng.randint(-3, 3)
+        assert factor_degrees_mod_p([u * c for c in P], q) == expected
+        checked += 1
+    with pytest.raises(ValueError, match="leading"):
+        factor_degrees_mod_p([1, 2, -10], 5)
+    with pytest.raises(ValueError, match="squarefree"):
+        factor_degrees_mod_p([1, 2, 1], 5)  # (x + 1)^2
 
 
 def test_fp_kernels_on_empty_and_short_operands():
@@ -108,7 +134,7 @@ def test_factor_degrees_against_root_count():
         disc = discriminant(poly)
         if disc == 0 or disc.numerator % p == 0:
             continue
-        pattern = factor_degrees_mod_p(poly, p)
+        pattern = factor_degrees_mod_p(coeffs, p)
         assert sum(pattern) == poly.degree
         roots = sum(1 for x in range(p) if poly.evaluate(Fraction(x)).numerator % p == 0)
         assert pattern.count(1) == roots
